@@ -21,7 +21,6 @@ from .linalg import (BTData, InconsistentSystemError, NotBTError,
 from .model import (ModelError, MultilinearOracle, OdeModel, ParseError,
                     build_oracle, builtin_model, eval_rhs, parse_model)
 from .nfcoeffs import (CmExpansion, NonGenericBTError, Variant, analyze_bt,
-                       compute_orbital_cm, compute_smooth_cm,
                        critical_coefficients, homological_residual)
 from .predictor import (HomPredictor, Mesh, Method, amplitude_to_eps,
                         invert_time, lift_orbit, lift_parameters, make_mesh,

@@ -28,7 +28,6 @@ __all__ = [
     "jcosh",
     "jsinh",
     "jsech",
-    "jexp",
     "jlogcosh",
     "LN2",
     "ZETA2",
@@ -163,12 +162,6 @@ def jsech(x):
     x = _as_jet(x)
     s, t = 1.0 / np.cosh(x.f), np.tanh(x.f)
     return x._chain(s, -s * t, s * (t * t - s * s))
-
-
-def jexp(x):
-    x = _as_jet(x)
-    e = np.exp(x.f)
-    return x._chain(e, e, e)
 
 
 def jlogcosh(x):
@@ -688,7 +681,7 @@ def _smooth_rp_terms(s, coeffs):
 
 
 def smooth_orbit(s_or_zeta, eps: float, coeffs, mode: str = "LP",
-                 order: int = 3, xi_identity: bool = False):
+                 order: int = 3):
     """Smooth normal-form homoclinic orbit (u, v).
 
     mode 'LP' takes zeta as the argument and evaluates the LP series in zeta;
@@ -727,11 +720,7 @@ def smooth_orbit_of_s(s, eps: float, coeffs, order: int = 3,
     if xi_identity:
         xi = np.asarray(s, float)
     else:
-        terms = _smooth_xi_terms(Jet.variable(s), coeffs)
-        acc = Jet.variable(s)
-        for i, term in enumerate(terms[:min(order, 3)], start=1):
-            acc = acc + term * eps ** i
-        xi = acc.f
+        xi = smooth_xi_of_s(s, eps, coeffs, order)
     return smooth_orbit(np.tanh(xi), eps, coeffs, mode="LP", order=order)
 
 

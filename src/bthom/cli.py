@@ -23,6 +23,10 @@ _BUILTIN_POINTS = {
 }
 
 
+class UsageError(Exception):
+    """Bad command-line input that argument parsing alone does not catch."""
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -31,9 +35,9 @@ def _load_model(args):
     name = args.model
     coeffs = {}
     for item in args.coeff or []:
-        key, _, val = item.partition("=")
-        if not _:
-            raise SystemExit(f"bad --coeff {item!r}; expected KEY=VALUE")
+        key, sep, val = item.partition("=")
+        if not sep:
+            raise UsageError(f"bad --coeff {item!r}; expected KEY=VALUE")
         coeffs[key] = float(val)
     if name in ("bt_nf", "hh"):
         return builtin_model(name, **coeffs)
@@ -42,6 +46,8 @@ def _load_model(args):
 
 
 def _bt_point(args, model):
+    if (args.x0 is None) != (args.alpha0 is None):
+        raise UsageError("--x0 and --alpha0 must be given together")
     if args.x0 is not None:
         x0 = np.array([float(v) for v in args.x0.split(",")])
         alpha0 = np.array([float(v) for v in args.alpha0.split(",")])
@@ -50,7 +56,7 @@ def _bt_point(args, model):
         return _BUILTIN_POINTS[model.name]
     if model.name == "bt_nf":
         return np.zeros(2), np.zeros(2)
-    raise SystemExit("need --x0 and --alpha0 for a user model")
+    raise UsageError("need --x0 and --alpha0 for a user model")
 
 
 def _add_point_args(p):
@@ -63,6 +69,8 @@ def _add_point_args(p):
 
 
 def _method(args) -> Method:
+    if not 0 <= args.order <= 3:
+        raise UsageError("--order must be in 0..3")
     phase = PhaseChoice(args.phase)
     return Method(kind=args.method, phase=phase, order=args.order,
                   lp_xi_identity=getattr(args, "lp_xi_identity", False))
@@ -102,13 +110,18 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.eps <= 0:
+        raise UsageError("--eps must be positive")
+    method = _method(args)
     model = _load_model(args)
     x0, alpha0 = _bt_point(args, model)
     _, ex = analyze_bt(model, x0, alpha0, args.variant)
     mesh = make_mesh(args.ntst, args.ncol)
-    method = _method(args)
-    pred = sample_predictor(ex, method, args.eps, mesh,
-                            k=args.k if args.k is not None else args.eps * 1e-4)
+    try:
+        pred = sample_predictor(ex, method, args.eps, mesh,
+                                k=args.k if args.k is not None else args.eps * 1e-4)
+    except ValueError as exc:   # the end distance k is outside (0, A0)
+        raise UsageError(f"--k: {exc}") from None
     payload = json.dumps(pred.as_dict(), indent=2)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -165,7 +178,7 @@ def cmd_converge(args) -> int:
         elif name == "lp-xid":
             methods.append(Method("lp", lp_xi_identity=True))
         else:
-            raise SystemExit(f"unknown method {name!r}")
+            raise UsageError(f"unknown method {name!r}")
     orders = [int(v) for v in args.orders.split(",")]
     amplitudes = _parse_amplitudes(args.amplitudes)
     mesh = make_mesh(args.ntst, args.ncol)
@@ -266,9 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        parser.exit(EXIT_USAGE, f"{parser.prog} {args.command}: error: {exc}\n")
     except (NotBTError, NonGenericBTError, NoConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

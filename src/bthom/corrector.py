@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .model import OdeModel, eval_rhs
+from .model import ModelError, OdeModel, eval_rhs, fd_jacobian
 from .nfcoeffs import CmExpansion
 from .predictor import (HomPredictor, Mesh, amplitude_to_eps, make_mesh,
                         sample_predictor, Method)
@@ -42,6 +42,7 @@ class NoConvergenceError(Exception):
 def _lagrange_matrices(ncol: int, gauss: np.ndarray):
     """Values and derivatives of the local Lagrange basis at Gauss points."""
     nodes = np.linspace(0.0, 1.0, ncol + 1)
+    leave_one_out = np.eye(ncol, dtype=bool)
     P = np.empty((ncol + 1, ncol))
     D = np.empty((ncol + 1, ncol))
     for k in range(ncol + 1):
@@ -50,13 +51,28 @@ def _lagrange_matrices(ncol: int, gauss: np.ndarray):
         for c, g in enumerate(gauss):
             diffs = g - others
             P[k, c] = np.prod(diffs) / denom
-            dsum = 0.0
-            for j in range(len(others)):
-                mask = np.ones(len(others), bool)
-                mask[j] = False
-                dsum += np.prod(diffs[mask])
-            D[k, c] = dsum / denom
+            D[k, c] = np.sum(np.prod(np.where(leave_one_out, 1.0, diffs), axis=1)) / denom
     return P, D
+
+
+def _at_gauss(M: np.ndarray, orbit: np.ndarray, ntst: int, ncol: int) -> np.ndarray:
+    """Apply the local basis table M (P or D) on every mesh interval.
+
+    Returns, for each of the ntst*ncol Gauss points, the combination of the
+    ncol + 1 orbit nodes of its interval weighted by M's column.
+    """
+    nodes = np.arange(ntst)[:, None] * ncol + np.arange(ncol + 1)
+    return (M.T @ orbit[nodes]).reshape(ntst * ncol, -1)
+
+
+def _step(v) -> float:
+    """The corrector's central-difference step at the point v."""
+    return 1e-6 * (1.0 + np.linalg.norm(v))
+
+
+def _saddle_jacobian(model: OdeModel, s0, alpha) -> np.ndarray:
+    """[f_x | f_alpha] at the saddle."""
+    return fd_jacobian(model, s0, alpha, _step(s0), _step(alpha))
 
 
 @dataclass
@@ -101,10 +117,10 @@ class HomBvp:
 
 
 def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
-              s0: np.ndarray, alpha: np.ndarray, jac_step: float = 1e-6) -> HomBvp:
+              s0: np.ndarray, alpha: np.ndarray) -> HomBvp:
     """Freeze eigenspace bases at (s0, alpha) and precompute collocation data."""
     n = model.dim
-    A = _fd_jacobian(model, s0, alpha, jac_step)
+    A = _saddle_jacobian(model, s0, alpha)[:, :n]
     TU, ZU, nU = scipy.linalg.schur(A, output="real", sort="rhp")
     if nU == 0 or nU == n:
         raise NoConvergenceError(f"saddle has {nU} unstable directions; need 1..{n-1}")
@@ -113,40 +129,12 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
         raise NoConvergenceError("eigenvalues too close to the imaginary axis "
                                  "to split stable/unstable subspaces")
     P, D = _lagrange_matrices(mesh.ncol, mesh.gauss)
-
     ntst, ncol = mesh.ntst, mesh.ncol
-    xt_gauss = np.empty((ntst * ncol, n))
-    xt_dot = np.empty((ntst * ncol, n))
-    for j in range(ntst):
-        seg = x_tilde[j * ncol:j * ncol + ncol + 1]
-        xt_gauss[j * ncol:(j + 1) * ncol] = P.T @ seg
-        xt_dot[j * ncol:(j + 1) * ncol] = (D.T @ seg) * ntst
     return HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
                   QU=ZU[:, :nU], QUperp=ZU[:, nU:], QS=ZS[:, :nS],
                   QSperp=ZS[:, nS:], n_unstable=nU, n_stable=nS,
-                  P=P, D=D, xt_gauss=xt_gauss, xt_dot_gauss=xt_dot)
-
-
-def _fd_jacobian(model, x, alpha, h=1e-6):
-    n = model.dim
-    scale = h * (1.0 + float(np.linalg.norm(x)))
-    J = np.empty((n, n))
-    for i in range(n):
-        dx = np.zeros(n)
-        dx[i] = scale
-        J[:, i] = (eval_rhs(model, x + dx, alpha) - eval_rhs(model, x - dx, alpha)) / (2 * scale)
-    return J
-
-
-def _fd_param_jacobian(model, x, alpha, h=1e-6):
-    n = model.dim
-    scale = h * (1.0 + float(np.linalg.norm(alpha)))
-    J = np.empty((n, 2))
-    for i in range(2):
-        da = np.zeros(2)
-        da[i] = scale
-        J[:, i] = (eval_rhs(model, x, alpha + da) - eval_rhs(model, x, alpha - da)) / (2 * scale)
-    return J
+                  P=P, D=D, xt_gauss=_at_gauss(P, x_tilde, ntst, ncol),
+                  xt_dot_gauss=_at_gauss(D, x_tilde, ntst, ncol) * ntst)
 
 
 def pack_unknowns(bvp: HomBvp, orbit, s0, alpha, YU=None, YS=None,
@@ -177,8 +165,8 @@ def unpack_orbit(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
 
 
 def _ricatti(t, Y, nU):
-    t11, t12 = t[:nU, :nU], t[:nU, nU:]
-    t21, t22 = t[nU:, :nU], t[nU:, nU:]
+    t11, t12 = t[..., :nU, :nU], t[..., :nU, nU:]
+    t21, t22 = t[..., nU:, :nU], t[..., nU:, nU:]
     return t22 @ Y - Y @ t11 + t21 - Y @ t12 @ Y
 
 
@@ -188,17 +176,13 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
         raise ValueError(f"unknown vector has size {z.size}, expected {sizes['total']}")
     orbit, s0, alpha, YU, YS, eps0, eps1 = _unpack(bvp, z)
     model, mesh = bvp.model, bvp.mesh
-    ntst, ncol, n = mesh.ntst, mesh.ncol, bvp.n
+    ntst, ncol = mesh.ntst, mesh.ncol
 
     # collocation: dx/dsigma = 2T f(x, alpha) at Gauss points; the rows are
     # scaled by 1/(2T) so the residual is in vector-field units regardless of
     # the half-return time (the Newton step is invariant under row scaling)
-    xg = np.empty((ntst * ncol, n))
-    dxg = np.empty((ntst * ncol, n))
-    for j in range(ntst):
-        seg = orbit[j * ncol:j * ncol + ncol + 1]
-        xg[j * ncol:(j + 1) * ncol] = bvp.P.T @ seg
-        dxg[j * ncol:(j + 1) * ncol] = (bvp.D.T @ seg) * ntst
+    xg = _at_gauss(bvp.P, orbit, ntst, ncol)
+    dxg = _at_gauss(bvp.D, orbit, ntst, ncol) * ntst
     coll = dxg / (2.0 * bvp.T) - eval_rhs(model, xg, alpha)
 
     saddle = eval_rhs(model, s0, alpha)
@@ -211,7 +195,7 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     bc_left = PU.T @ (orbit[0] - s0)
     bc_right = PS.T @ (orbit[-1] - s0)
 
-    A = _fd_jacobian(model, s0, alpha)
+    A = _saddle_jacobian(model, s0, alpha)[:, :bvp.n]
     QUfull = np.hstack([bvp.QU, bvp.QUperp])
     QSfull = np.hstack([bvp.QS, bvp.QSperp])
     ric_u = _ricatti(QUfull.T @ A @ QUfull, YU, bvp.n_unstable)
@@ -238,54 +222,39 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     i_ys = i_yu + nS * nU
     i_e0 = m_total - 2
 
-    xg = np.empty((ntst * ncol, n))
-    for j in range(ntst):
-        seg = orbit[j * ncol:j * ncol + ncol + 1]
-        xg[j * ncol:(j + 1) * ncol] = bvp.P.T @ seg
-
-    # batched state/parameter Jacobians of f at all collocation points
-    hx = 1e-6 * (1.0 + np.max(np.abs(xg)))
-    fx = np.empty((ntst * ncol, n, n))
-    for i in range(n):
-        dx = np.zeros(n)
-        dx[i] = hx
-        fx[:, :, i] = (eval_rhs(model, xg + dx, alpha) - eval_rhs(model, xg - dx, alpha)) / (2 * hx)
-    ha = 1e-6 * (1.0 + np.max(np.abs(alpha)))
-    fa = np.empty((ntst * ncol, n, 2))
-    for i in range(2):
-        da = np.zeros(2)
-        da[i] = ha
-        fa[:, :, i] = (eval_rhs(model, xg, alpha + da) - eval_rhs(model, xg, alpha - da)) / (2 * ha)
+    # [f_x | f_alpha] at all collocation points
+    xg = _at_gauss(bvp.P, orbit, ntst, ncol)
+    fxa = fd_jacobian(model, xg, alpha, 1e-6 * (1.0 + np.max(np.abs(xg))),
+                      1e-6 * (1.0 + np.max(np.abs(alpha))))
 
     J = np.zeros((m_total - 1, m_total))
-    row = 0
+
+    # collocation rows: Gauss point g = j*ncol + c couples to the ncol + 1
+    # orbit nodes j*ncol + k of its interval
+    G = ntst * ncol
+    c = np.arange(G) % ncol
+    nodes = (np.arange(G) - c)[:, None] + np.arange(ncol + 1)               # (G, ncol+1)
+    Dg, Pg = bvp.D.T[c], bvp.P.T[c]                                       # (G, ncol+1)
     inv2T = 1.0 / (2.0 * bvp.T)
-    for j in range(ntst):
-        cols = slice(j * ncol * n, (j * ncol + ncol + 1) * n)
-        for c in range(ncol):
-            g = j * ncol + c
-            block = np.zeros((n, (ncol + 1) * n))
-            for k in range(ncol + 1):
-                block[:, k * n:(k + 1) * n] = (bvp.D[k, c] * ntst * inv2T * np.eye(n)
-                                               - bvp.P[k, c] * fx[g])
-            J[row:row + n, cols] = block
-            J[row:row + n, i_al:i_al + 2] = -fa[g]
-            row += n
+    blocks = ((Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
+              - Pg[:, :, None, None] * fxa[:, None, :, :n])               # (G, ncol+1, n, n)
+    rows = np.arange(G * n).reshape(G, 1, n, 1)
+    cols = (nodes * n)[:, :, None, None] + np.arange(n)
+    J[rows, cols] = blocks
+    J[:G * n, i_al:i_al + 2] = -fxa[:, :, n:].reshape(G * n, 2)
+    row = G * n
 
     # saddle rows
-    J[row:row + n, i_s0:i_s0 + n] = _fd_jacobian(model, s0, alpha)
-    J[row:row + n, i_al:i_al + 2] = _fd_param_jacobian(model, s0, alpha)
+    A_sa = _saddle_jacobian(model, s0, alpha)
+    J[row:row + n, i_s0:i_s0 + n + 2] = A_sa
     row += n
 
-    # phase row
+    # phase row; the end node of one interval is the start node of the next,
+    # so contributions accumulate
     w = np.tile(bvp.mesh.gauss_weights, ntst) / ntst
-    for j in range(ntst):
-        for c in range(ncol):
-            g = j * ncol + c
-            coeff = w[g] * bvp.xt_dot_gauss[g]
-            for k in range(ncol + 1):
-                col = (j * ncol + k) * n
-                J[row, col:col + n] += bvp.P[k, c] * coeff
+    coeff = w[:, None] * bvp.xt_dot_gauss
+    np.add.at(J[row], (nodes * n)[:, :, None] + np.arange(n),
+              Pg[:, :, None] * coeff[:, None, :])
     row += 1
 
     # boundary condition rows
@@ -295,19 +264,17 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     du1 = orbit[-1] - s0
     J[row:row + nS, 0:n] = PU.T
     J[row:row + nS, i_s0:i_s0 + n] = -PU.T
-    for r in range(nS):
-        for jcol in range(nU):
-            J[row + r, i_yu + r * nU + jcol] = -(bvp.QU[:, jcol] @ du0)
+    r = np.arange(nS)[:, None]
+    J[row + r, i_yu + r * nU + np.arange(nU)] = -(du0 @ bvp.QU)
     row += nS
     J[row:row + nU, n_orb - n:n_orb] = PS.T
     J[row:row + nU, i_s0:i_s0 + n] = -PS.T
-    for r in range(nU):
-        for jcol in range(nS):
-            J[row + r, i_ys + r * nS + jcol] = -(bvp.QS[:, jcol] @ du1)
+    r = np.arange(nU)[:, None]
+    J[row + r, i_ys + r * nS + np.arange(nS)] = -(du1 @ bvp.QS)
     row += nU
 
     # Riccati rows: analytic in Y, finite differences in (s0, alpha)
-    A = _fd_jacobian(model, s0, alpha)
+    A = A_sa[:, :n]
     QUfull = np.hstack([bvp.QU, bvp.QUperp])
     QSfull = np.hstack([bvp.QS, bvp.QSperp])
     tU = QUfull.T @ A @ QUfull
@@ -321,24 +288,19 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     J[row:row + nS * nU, i_yu:i_yu + nS * nU] = ric_y_block(tU, YU, nU)
     J[row + nS * nU:row + 2 * nS * nU, i_ys:i_ys + nS * nU] = ric_y_block(tS, YS, nS)
 
+    # state Jacobians at the 2(n+2) saddle points shifted by +-h along each
+    # (s0, alpha) coordinate, in one batched call
     h = 1e-5 * (1.0 + float(np.linalg.norm(s0)))
-    for i in range(n + 2):
-        sp, ap = s0.copy(), alpha.copy()
-        sm, am = s0.copy(), alpha.copy()
-        if i < n:
-            sp[i] += h
-            sm[i] -= h
-        else:
-            ap[i - n] += h
-            am[i - n] -= h
-        Ap = _fd_jacobian(model, sp, ap)
-        Am = _fd_jacobian(model, sm, am)
-        dtU = QUfull.T @ (Ap - Am) @ QUfull / (2 * h)
-        dtS = QSfull.T @ (Ap - Am) @ QSfull / (2 * h)
-        col = i_s0 + i
-        # the Riccati residual is linear homogeneous in the T-blocks
-        J[row:row + nS * nU, col] = _ricatti(dtU, YU, nU).ravel()
-        J[row + nS * nU:row + 2 * nS * nU, col] = _ricatti(dtS, YS, nS).ravel()
+    shifts = h * np.vstack([np.eye(n + 2), -np.eye(n + 2)])
+    sp, ap = s0 + shifts[:, :n], alpha + shifts[:, n:]
+    Apm = fd_jacobian(model, sp, ap, [_step(p) for p in sp])[:, :, :n]
+    dA = Apm[:n + 2] - Apm[n + 2:]
+    dtU = QUfull.T @ dA @ QUfull / (2 * h)
+    dtS = QSfull.T @ dA @ QSfull / (2 * h)
+    # the Riccati residual is linear homogeneous in the T-blocks
+    J[row:row + nS * nU, i_s0:i_s0 + n + 2] = _ricatti(dtU, YU, nU).reshape(n + 2, -1).T
+    J[row + nS * nU:row + 2 * nS * nU, i_s0:i_s0 + n + 2] = \
+        _ricatti(dtS, YS, nS).reshape(n + 2, -1).T
     row += 2 * nS * nU
 
     # distance rows
@@ -372,7 +334,7 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
             z_new = z + damp * step
             try:
                 r_new = bvp_residual(bvp, z_new)
-            except Exception:
+            except ModelError:
                 r_new = np.array([np.inf])
             if np.linalg.norm(r_new) < rn:
                 break

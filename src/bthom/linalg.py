@@ -62,7 +62,7 @@ class BTData:
         }
 
 
-def bordered_solve_full(A, p1, q0, y, fredholm_tol: float = 1e-6):
+def bordered_solve_full(A, p1, q0, y):
     """Solve the bordered system [[A, p1^T], [q0^T, 0]] (x, s) = (y, 0).
 
     Returns (x, s).  For a consistent right-hand side s vanishes; callers that
@@ -85,7 +85,7 @@ def bordered_solve_full(A, p1, q0, y, fredholm_tol: float = 1e-6):
 
 def bordered_solve(A, p1, q0, y, fredholm_tol: float = 1e-6) -> np.ndarray:
     """Bordered inverse of the singular A: x with A x = y and q0^T x = 0."""
-    x, s = bordered_solve_full(A, p1, q0, y, fredholm_tol)
+    x, s = bordered_solve_full(A, p1, q0, y)
     ynorm = np.linalg.norm(np.asarray(y, float))
     if abs(s) > fredholm_tol * max(ynorm, 1e-300):
         raise InconsistentSystemError(

@@ -30,6 +30,8 @@ __all__ = [
     "MultilinearOracle",
     "parse_model",
     "eval_rhs",
+    "central_difference",
+    "fd_jacobian",
     "build_oracle",
     "bt_nf_text",
     "hh_text",
@@ -361,8 +363,54 @@ def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# multilinear derivative oracle
+# central differences and the multilinear derivative oracle
 # ---------------------------------------------------------------------------
+
+def central_difference(model: OdeModel, x, alpha, dirs, h, k: int = 1) -> np.ndarray:
+    """k-th central-difference quotient (k = 1, 2, 3) of f along joint directions.
+
+    Approximates d^k/dt^k f(x + t dx, alpha + t dalpha) at t = 0 for each row
+    (dx, dalpha) of ``dirs`` (shape ``(m, n + 2)``), at the base point(s)
+    ``x`` (``(..., n)``) and ``alpha`` (``(..., 2)``).  ``h`` is the step,
+    a scalar or one per base point and direction (broadcast to ``(..., m)``).
+    All stencil points go to one batched :func:`eval_rhs` call.  Returns
+    shape ``(..., m, n)``.
+    """
+    n = model.dim
+    x = np.asarray(x, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    offsets = np.array({1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}[k], dtype=float)
+    h_m = np.asarray(h, dtype=float) * np.ones(len(dirs))             # (..., m)
+    steps = (offsets[:, None] * h_m[..., None, :])[..., None] * dirs   # (..., p, m, n + 2)
+    F = eval_rhs(model, x[..., None, None, :] + steps[..., :n],
+                 alpha[..., None, None, :] + steps[..., n:])
+    F = np.moveaxis(F, -3, 0)
+    # a scalar step stays a scalar: numpy's array power may round
+    # differently from the scalar one
+    if np.ndim(h):
+        h = h_m[..., None]
+    if k == 1:
+        return (F[0] - F[1]) / (2 * h)
+    if k == 2:
+        return (F[0] - 2 * F[1] + F[2]) / (h * h)
+    return (F[0] - 2 * F[1] + 2 * F[2] - F[3]) / (2 * h ** 3)
+
+
+def fd_jacobian(model: OdeModel, x, alpha, hx, ha=None) -> np.ndarray:
+    """The Jacobian ``[f_x | f_alpha]`` (shape ``(..., n, n + 2)``) by central differences.
+
+    ``hx`` and ``ha`` are the state and parameter steps (``ha`` defaults to
+    ``hx``), scalars or one per base point.
+    """
+    n = model.dim
+    hx = np.asarray(hx, dtype=float)[..., None]
+    ha = hx if ha is None else np.asarray(ha, dtype=float)[..., None]
+    hx, ha = np.broadcast_arrays(hx, ha)
+    h = np.concatenate([np.repeat(hx, n, axis=-1), np.repeat(ha, 2, axis=-1)], axis=-1)
+    J = central_difference(model, x, alpha, np.eye(n + 2), h)
+    return np.ascontiguousarray(np.swapaxes(J, -1, -2))
+
 
 @dataclass
 class MultilinearOracle:
@@ -386,132 +434,68 @@ class MultilinearOracle:
         self.alpha0 = np.asarray(self.alpha0, dtype=float)
         n = self.model.dim
         scale = 1.0 + np.linalg.norm(self.x0)
-        self._h1 = self.h * _EPS ** (1.0 / 3.0) * scale
-        self._h2 = self.h * _EPS ** 0.25 * scale
-        self._h3 = self.h * _EPS ** 0.2 * scale
-        self._f0 = eval_rhs(self.model, self.x0, self.alpha0)
+        # the k-th difference quotient balances truncation and rounding error
+        # at a step of order eps^(1/(k+2))
+        self._step = {k: self.h * _EPS ** (1.0 / (k + 2)) * scale for k in (1, 2, 3)}
+        J = fd_jacobian(self.model, self.x0, self.alpha0, self._step[1])
+        self.A, self.J1 = J[:, :n].copy(), J[:, n:].copy()
 
-        h1 = self._h1
-        A = np.empty((n, n))
-        for i in range(n):
-            dx = np.zeros(n)
-            dx[i] = h1
-            A[:, i] = (eval_rhs(self.model, self.x0 + dx, self.alpha0)
-                       - eval_rhs(self.model, self.x0 - dx, self.alpha0)) / (2 * h1)
-        self.A = A
-        J1 = np.empty((n, 2))
-        for j in range(2):
-            da = np.zeros(2)
-            da[j] = h1
-            J1[:, j] = (eval_rhs(self.model, self.x0, self.alpha0 + da)
-                        - eval_rhs(self.model, self.x0, self.alpha0 - da)) / (2 * h1)
-        self.J1 = J1
+    def _form(self, *zs):
+        """Symmetric bi- or trilinear form of f on joint (x, alpha) vectors.
 
-    # -- directional derivatives in the joint (x, alpha) space --------------
+        The probes are taken in a canonical order, so the returned values are
+        bitwise independent of the slot order.
+        """
+        n = self.model.dim
+        zs = sorted(zs, key=lambda z: z.tobytes())
+        norms = [math.hypot(np.linalg.norm(z[:n]), np.linalg.norm(z[n:])) for z in zs]
+        if 0.0 in norms:
+            return np.zeros(n)
+        e = [z / nrm for z, nrm in zip(zs, norms)]
+        if len(e) == 2:
+            d = central_difference(self.model, self.x0, self.alpha0,
+                                   [e[0] + e[1], e[0] - e[1]], self._step[2], 2)
+            val = 0.25 * (d[0] - d[1])
+        else:
+            e1, e2, e3 = e
+            d = central_difference(self.model, self.x0, self.alpha0,
+                                   [e1 + e2 + e3, e1 + e2, e1 + e3, e2 + e3, e1, e2, e3],
+                                   self._step[3], 3)
+            val = (d[0] - d[1] - d[2] - d[3] + d[4] + d[5] + d[6]) / 6.0
+        for nrm in norms:
+            val = val * nrm
+        return val
 
-    def _f(self, dz, t):
-        return eval_rhs(self.model, self.x0 + t * dz[0], self.alpha0 + t * dz[1])
-
-    def _dir2(self, dz):
-        h = self._h2
-        return (self._f(dz, h) - 2 * self._f0 + self._f(dz, -h)) / (h * h)
-
-    def _dir3(self, dz):
-        h = self._h3
-        return (self._f(dz, 2 * h) - 2 * self._f(dz, h)
-                + 2 * self._f(dz, -h) - self._f(dz, -2 * h)) / (2 * h ** 3)
-
-    @staticmethod
-    def _unit(z):
-        nrm = math.hypot(np.linalg.norm(z[0]), np.linalg.norm(z[1]))
-        if nrm == 0.0:
-            return None, 0.0
-        return (z[0] / nrm, z[1] / nrm), nrm
-
-    @staticmethod
-    def _canonical(zs):
-        # the joint-space forms are symmetric; fixing a probe order makes the
-        # returned values bitwise independent of the slot order
-        return sorted(zs, key=lambda z: (z[0].tobytes(), z[1].tobytes()))
-
-    def _bilinear(self, z1, z2):
-        z1, z2 = self._canonical([z1, z2])
-        e1, n1 = self._unit(z1)
-        e2, n2 = self._unit(z2)
-        if n1 == 0.0 or n2 == 0.0:
-            return np.zeros(self.model.dim)
-        plus = (e1[0] + e2[0], e1[1] + e2[1])
-        minus = (e1[0] - e2[0], e1[1] - e2[1])
-        return 0.25 * (self._dir2(plus) - self._dir2(minus)) * n1 * n2
-
-    def _trilinear(self, z1, z2, z3):
-        z1, z2, z3 = self._canonical([z1, z2, z3])
-        e1, n1 = self._unit(z1)
-        e2, n2 = self._unit(z2)
-        e3, n3 = self._unit(z3)
-        if 0.0 in (n1, n2, n3):
-            return np.zeros(self.model.dim)
-
-        def add(*zs):
-            return (sum(z[0] for z in zs), sum(z[1] for z in zs))
-
-        val = (self._dir3(add(e1, e2, e3))
-               - self._dir3(add(e1, e2)) - self._dir3(add(e1, e3)) - self._dir3(add(e2, e3))
-               + self._dir3(e1) + self._dir3(e2) + self._dir3(e3))
-        return val / 6.0 * n1 * n2 * n3
+    def _z(self, u=None, k=None):
+        """The joint vector (u, k); a missing part is zero."""
+        return np.concatenate([np.zeros(self.model.dim) if u is None else np.asarray(u, float),
+                               np.zeros(2) if k is None else np.asarray(k, float)])
 
     # -- the standard forms --------------------------------------------------
 
     def B(self, u, v):
-        z = np.zeros(2)
-        return self._bilinear((np.asarray(u, float), z), (np.asarray(v, float), z))
+        return self._form(self._z(u), self._z(v))
 
     def A1(self, u, k):
-        zn = np.zeros(self.model.dim)
-        return self._bilinear((np.asarray(u, float), np.zeros(2)), (zn, np.asarray(k, float)))
+        return self._form(self._z(u), self._z(k=k))
 
     def J2(self, k, l):
-        zn = np.zeros(self.model.dim)
-        return self._bilinear((zn, np.asarray(k, float)), (zn, np.asarray(l, float)))
+        return self._form(self._z(k=k), self._z(k=l))
 
     def C(self, u, v, w):
-        z = np.zeros(2)
-        return self._trilinear((np.asarray(u, float), z), (np.asarray(v, float), z),
-                               (np.asarray(w, float), z))
+        return self._form(self._z(u), self._z(v), self._z(w))
 
     def B1(self, u, v, k):
-        z = np.zeros(2)
-        zn = np.zeros(self.model.dim)
-        return self._trilinear((np.asarray(u, float), z), (np.asarray(v, float), z),
-                               (zn, np.asarray(k, float)))
+        return self._form(self._z(u), self._z(v), self._z(k=k))
 
     def A2(self, u, k, l):
-        z = np.zeros(2)
-        zn = np.zeros(self.model.dim)
-        return self._trilinear((np.asarray(u, float), z), (zn, np.asarray(k, float)),
-                               (zn, np.asarray(l, float)))
+        return self._form(self._z(u), self._z(k=k), self._z(k=l))
 
     def J3(self, k, l, m):
-        zn = np.zeros(self.model.dim)
-        return self._trilinear((zn, np.asarray(k, float)), (zn, np.asarray(l, float)),
-                               (zn, np.asarray(m, float)))
+        return self._form(self._z(k=k), self._z(k=l), self._z(k=m))
 
     def rhs(self, x, alpha):
         return eval_rhs(self.model, x, alpha)
-
-    def jacobian_at(self, x, alpha):
-        """State Jacobian of f at an arbitrary point (central differences)."""
-        x = np.asarray(x, float)
-        alpha = np.asarray(alpha, float)
-        n = self.model.dim
-        h = self._h1
-        J = np.empty((n, n))
-        for i in range(n):
-            dx = np.zeros(n)
-            dx[i] = h
-            J[:, i] = (eval_rhs(self.model, x + dx, alpha)
-                       - eval_rhs(self.model, x - dx, alpha)) / (2 * h)
-        return J
 
 
 def build_oracle(model: OdeModel, x0, alpha0, h: float = 1.0) -> MultilinearOracle:

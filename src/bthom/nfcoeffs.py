@@ -23,15 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import BTData, bordered_solve_full, bt_eigenstructure
-from .model import MultilinearOracle, OdeModel, build_oracle, eval_rhs
+from .model import MultilinearOracle, OdeModel, build_oracle, eval_rhs, fd_jacobian
 
 __all__ = [
     "Variant",
     "NonGenericBTError",
     "CmExpansion",
     "critical_coefficients",
-    "compute_orbital_cm",
-    "compute_smooth_cm",
     "homological_residual",
     "analyze_bt",
 ]
@@ -380,15 +378,6 @@ def _compute_cm(oracle: MultilinearOracle, eig: BTData, variant: Variant) -> CmE
     )
 
 
-def compute_orbital_cm(oracle: MultilinearOracle, eig: BTData) -> CmExpansion:
-    return _compute_cm(oracle, eig, Variant.ORBITAL)
-
-
-def compute_smooth_cm(oracle: MultilinearOracle, eig: BTData,
-                      hyper: bool = False) -> CmExpansion:
-    return _compute_cm(oracle, eig, Variant.HYPER if hyper else Variant.SMOOTH)
-
-
 def homological_residual(expansion: CmExpansion, oracle: MultilinearOracle,
                          w, beta) -> np.ndarray:
     """f(H(w,b), K(b)) theta(w,b) - H_w(w,b) G(w,b) for the truncated expansions."""
@@ -422,12 +411,7 @@ def analyze_bt(model: OdeModel, x0, alpha0, variant: Variant | str = Variant.ORB
             f = eval_rhs(model, x0, alpha0)
             if np.linalg.norm(f) < 1e-13 * (1.0 + np.linalg.norm(x0)):
                 break
-            J = np.empty((n, n))
-            for i in range(n):
-                dx = np.zeros(n)
-                dx[i] = hstep
-                J[:, i] = (eval_rhs(model, x0 + dx, alpha0)
-                           - eval_rhs(model, x0 - dx, alpha0)) / (2 * hstep)
+            J = fd_jacobian(model, x0, alpha0, hstep)[:, :n]
             step, *_ = np.linalg.lstsq(J, -f, rcond=None)
             if np.linalg.norm(eval_rhs(model, x0 + step, alpha0)) >= np.linalg.norm(f):
                 break

@@ -56,10 +56,25 @@ class TestAnalyze:
         code, _, err = run(["analyze", "--model", "bt_nf", "--coeff", "a=0"], capsys)
         assert code == 3
 
-    def test_usage_error_exits_2(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--nonsense"],
+        ["predict", "--model", "bt_nf", "--order", "5"],
+        ["predict", "--model", "bt_nf", "--eps", "-1"],
+        ["predict", "--model", "bt_nf", "--k", "5"],
+        ["analyze", "--model", "bt_nf", "--x0", "0,0"],
+        ["converge", "--model", "bt_nf", "--methods", "foo"],
+        ["analyze", "--model", "bt_nf", "--coeff", "a"],
+        ["analyze", "--model", "{user_model}"],
+    ], ids=["unknown-option", "order-5", "negative-eps", "k-above-amplitude",
+            "x0-without-alpha0", "unknown-method", "coeff-without-value",
+            "user-model-without-point"])
+    def test_usage_error_exits_2(self, argv, capsys, tmp_path):
+        model = tmp_path / "m.txt"
+        model.write_text("dim 2\npar p1 p2\nx1' = x2\nx2' = p1 + p2*x2 + x1^2 + x1*x2\n")
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", "--nonsense"])
+            main([arg.format(user_model=model) for arg in argv])
         assert exc.value.code == 2
+        assert ": error: " in capsys.readouterr().err.splitlines()[-1]
 
 
 class TestPredict:

@@ -60,10 +60,16 @@ class TestResidual:
             res.append(np.linalg.norm(bvp_residual(bvp, z)) / pred.T)
         assert fit_slope(epss, res) >= 3.0
 
-    def test_jacobian_matches_directional_finite_differences(self, bt_nf_model,
-                                                             planar_setup):
-        _, mesh, pred = planar_setup
-        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+    @pytest.mark.parametrize("case", ["bt_nf-20x4", "hh-40x4"])
+    def test_jacobian_matches_directional_finite_differences(self, case, bt_nf_model,
+                                                             planar_setup, hh_model,
+                                                             hh_orbital):
+        if case == "bt_nf-20x4":
+            model, (_, mesh, pred) = bt_nf_model, planar_setup
+        else:
+            model, mesh = hh_model, make_mesh(40, 4)
+            pred = sample_predictor(hh_orbital[1], LP, 0.1, mesh, k=1e-5)
+        bvp = build_bvp(model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
         z = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
                           eps0=pred.eps0, eps1=pred.eps1)
         J = bvp_jacobian(bvp, z)
@@ -102,6 +108,24 @@ class TestNewton:
                           eps0=pred.eps0, eps1=pred.eps1)
         with pytest.raises(NoConvergenceError):
             newton_correct(bvp, z, max_iter=8)
+
+    def test_unexpected_error_in_trial_step_propagates(self, bt_nf_model, planar_setup,
+                                                       monkeypatch):
+        _, mesh, pred = planar_setup
+        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        z = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                          eps0=pred.eps0, eps1=pred.eps1)
+        calls = []
+
+        def fail_on_trial_step(bvp, z):
+            calls.append(z)
+            if len(calls) > 1:
+                raise TypeError("forced")
+            return bvp_residual(bvp, z)
+
+        monkeypatch.setattr("bthom.corrector.bvp_residual", fail_on_trial_step)
+        with pytest.raises(TypeError, match="forced"):
+            newton_correct(bvp, z)
 
     def test_phase_and_riccati_hold_at_corrected_solution(self, bt_nf_model,
                                                           bt_nf_orbital):

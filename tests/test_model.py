@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bthom.model import (HH_BT_ALPHA, HH_BT_STATE, ModelEvalError,
                          NonEquilibriumError, ParseError, build_oracle,
-                         builtin_model, eval_rhs, parse_model)
+                         builtin_model, eval_rhs, fd_jacobian, parse_model)
 from exact_forms import random_cubic_model
 
 TOP_NF = "dim 2\npar b1 b2\nx1' = x2\nx2' = b1 + b2*x2 + x1^2 + x1*x2\n"
@@ -138,6 +138,17 @@ class TestOracle:
         base = oracle.B(u, v)
         got = oracle.B(u, c * v)
         assert np.linalg.norm(got - c * base) <= 1e-8 * (1.0 + abs(c) * np.linalg.norm(base))
+
+    def test_batched_jacobian_equals_per_point(self, hh_model):
+        rng = np.random.default_rng(7)
+        xs = HH_BT_STATE + 0.05 * rng.standard_normal((6, 4))
+        alphas = HH_BT_ALPHA + 0.05 * rng.standard_normal((6, 2))
+        hx, ha = 1e-6 * (1.0 + np.abs(xs).sum(axis=1)), np.full(6, 3e-6)
+        batched = fd_jacobian(hh_model, xs, alphas, hx, ha)
+        assert batched.shape == (6, 4, 6)
+        for i in range(6):
+            single = fd_jacobian(hh_model, xs[i], alphas[i], hx[i], ha[i])
+            assert np.array_equal(batched[i], single)
 
     def test_non_equilibrium_base_rejected(self, bt_nf_model):
         with pytest.raises(NonEquilibriumError):
