@@ -142,6 +142,17 @@ def _as_jet(x):
     return x if isinstance(x, Jet) else Jet(np.asarray(x, float) + 0.0)
 
 
+def _series(terms, eps: float, order: int):
+    """terms[0] + sum_{i=1..order} terms[i] eps^i, summed left to right.
+
+    Terms beyond the last one given are zero.
+    """
+    acc = terms[0]
+    for i in range(1, min(order, len(terms) - 1) + 1):
+        acc = acc + terms[i] * eps ** i
+    return acc
+
+
 def jtanh(x):
     x = _as_jet(x)
     t = np.tanh(x.f)
@@ -260,11 +271,8 @@ def _rp_terms(phase: PhaseChoice):
 def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
              order: int = 3):
     """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
-    terms = _rp_terms(phase)
     sj = Jet.variable(s)
-    acc = terms[0](sj)
-    for i in range(1, min(order, 3) + 1):
-        acc = acc + terms[i](sj) * (eps ** i)
+    acc = _series([term(sj) for term in _rp_terms(phase)[:order + 1]], eps, order)
     return acc.f, acc.d
 
 
@@ -475,13 +483,13 @@ def _lp_recursion(order: int, gamma=None, exact: bool = True):
         up.append(upi)
         om.append(om_i)
 
-    return tau, sig, delt, om
+    return tau, sig, delt, om, u
 
 
 @lru_cache(maxsize=None)
 def lp_solve_quadratic(order: int) -> LpSeries:
     """Exact-rational LP series of the quadratic BT normal form up to eps^order."""
-    tau, sig, delt, om = _lp_recursion(order, exact=True)
+    tau, sig, delt, om, _ = _lp_recursion(order, exact=True)
     return LpSeries(order=order, tau=tau, sigma=sig[:order - 1] if order > 1 else sig[:1],
                     delta=delt[:order - 1] if order > 1 else delt[:1], omega=om)
 
@@ -496,15 +504,7 @@ def _lp_float_series(phase: PhaseChoice, order: int = 4):
     else:
         raise ValueError("the Lindstedt-Poincare series supports the VZERO "
                          "and ALTGAMMA phases only (L2 is a regular-perturbation concept)")
-    tau, sig, delt, om = _lp_recursion(order, gamma=gamma, exact=False)
-    gam = [0.0, ALT_GAMMA1 if phase is PhaseChoice.ALTGAMMA else 0.0, 0.0, 0.0]
-    u_polys = []
-    for i in range(order):
-        if i == 0:
-            u_polys.append([-4.0, 0.0, 6.0])
-        else:
-            gi = gam[i] if i < len(gam) else 0.0
-            u_polys.append(_padd([delt[i], 12.0 * gi, sig[i]], [0.0, 0.0, 0.0, -12.0 * gi]))
+    tau, _, _, om, u_polys = _lp_recursion(order, gamma=gamma, exact=False)
     return tuple(float(t) for t in tau), tuple(tuple(map(float, p)) for p in u_polys), \
         tuple(tuple(map(float, p)) for p in om)
 
@@ -513,18 +513,24 @@ def lp_orbit_third(zeta, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
                    order: int = 3):
     """Third-order LP orbit (u, v) as a function of the transformed time zeta."""
     _, u_polys, om = _lp_float_series(phase)
+    return _lp_uv(u_polys, om, zeta, eps, order)
+
+
+def _lp_uv(u_polys, om, zeta, eps: float, order: int):
+    """LP orbit (u, v) from the polynomials u_i(zeta) and omega_i(zeta).
+
+    v = (1 - zeta^2) omega(zeta) u'(zeta), truncated at eps^order like u.
+    """
     zeta = np.asarray(zeta, float)
     order = min(order, 3)
-    u = np.zeros_like(zeta)
-    for i in range(order + 1):
-        u = u + _peval_np(u_polys[i], zeta) * eps ** i
-    # v = (1 - zeta^2) * omega(zeta) * u'(zeta), truncated at the same order
+    u_i = [_peval_np(p, zeta) for p in u_polys[:order + 1]]
+    du_i = [_peval_np(_pderiv(p), zeta) for p in u_polys[:order + 1]]
+    om_i = [_peval_np(p, zeta) for p in om[:order + 1]]
     v = np.zeros_like(zeta)
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            up = _pderiv(list(u_polys[j]))
-            v = v + _peval_np(om[i], zeta) * _peval_np(up, zeta) * eps ** (i + j)
-    return u, (1.0 - zeta * zeta) * v
+            v = v + om_i[i] * du_i[j] * eps ** (i + j)
+    return _series(u_i, eps, order), (1.0 - zeta * zeta) * v
 
 
 def _peval_np(p, x):
@@ -575,9 +581,8 @@ def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
         terms = _xi_terms_altgamma(s)
     else:
         raise ValueError("xi(s) exists for the VZERO and ALTGAMMA phases only")
-    acc = _as_jet(s) if isinstance(s, Jet) else Jet.variable(s)
-    for i, term in enumerate(terms[:min(order, 3)], start=1):
-        acc = acc + term * eps ** i
+    acc = _series((_as_jet(s) if isinstance(s, Jet) else Jet.variable(s),) + terms,
+                  eps, order)
     return acc if isinstance(s, Jet) else acc.f
 
 
@@ -693,25 +698,12 @@ def smooth_orbit(s_or_zeta, eps: float, coeffs, mode: str = "LP",
     order = min(order, 3)
     if mode.upper() == "RP":
         sj = Jet.variable(s_or_zeta)
-        terms = (_u0_jet(sj),) + _smooth_rp_terms(sj, coeffs)
-        acc = terms[0]
-        for i in range(1, order + 1):
-            acc = acc + terms[i] * eps ** i
+        acc = _series((_u0_jet(sj),) + _smooth_rp_terms(sj, coeffs), eps, order)
         return acc.f, acc.d
     if mode.upper() != "LP":
         raise ValueError("mode must be 'RP' or 'LP'")
-    zeta = np.asarray(s_or_zeta, float)
-    u_polys = _smooth_u_polys(coeffs)
-    om = _smooth_omega_polys(coeffs)
-    u = np.zeros_like(zeta)
-    for i in range(order + 1):
-        u = u + _peval_np(u_polys[i], zeta) * eps ** i
-    v = np.zeros_like(zeta)
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            v = v + (_peval_np(om[i], zeta)
-                     * _peval_np(_pderiv(list(u_polys[j])), zeta) * eps ** (i + j))
-    return u, (1.0 - zeta * zeta) * v
+    return _lp_uv(_smooth_u_polys(coeffs), _smooth_omega_polys(coeffs), s_or_zeta,
+                  eps, order)
 
 
 def smooth_orbit_of_s(s, eps: float, coeffs, order: int = 3,
@@ -725,11 +717,8 @@ def smooth_orbit_of_s(s, eps: float, coeffs, order: int = 3,
 
 
 def smooth_xi_of_s(s, eps: float, coeffs, order: int = 3):
-    terms = _smooth_xi_terms(Jet.variable(s), coeffs)
-    acc = Jet.variable(s)
-    for i, term in enumerate(terms[:min(order, 3)], start=1):
-        acc = acc + term * eps ** i
-    return acc.f
+    sj = Jet.variable(s)
+    return _series((sj,) + _smooth_xi_terms(sj, coeffs), eps, order).f
 
 
 # ---------------------------------------------------------------------------
@@ -742,18 +731,14 @@ def rp_int_u(s, eps: float, order: int = 3):
     t, S, L = jtanh(sj), jsech(sj), jlogcosh(sj)
     sh, ch = jsinh(sj), jcosh(sj)
     ch2, sh2, ch4 = jcosh(sj * 2.0), jsinh(sj * 2.0), jcosh(sj * 4.0)
-    acc = (sj - t * 3.0) * 2.0
-    if order >= 1:
-        acc = acc + S * S * (ch2 - L * 4.0 - 1.0) * (-9.0 / 7.0) * eps
-    if order >= 2:
-        acc = acc + (S ** 3 * (sh * (ch2 - L * L * 12.0 + 6.0) * 2.0 - sj * ch * 12.0)
-                     * (-9.0 / 49.0) * eps ** 2)
-    if order >= 3:
-        acc = acc + (S ** 4 * (ch4 + ch2 * (L ** 3 * (-112.0) + L * L * 168.0
-                                            + L * 188.0 + 7.0)
-                               + (L ** 3 * 28.0 - L * L * 21.0 - L * 29.0
-                                  - sj * sh2 * L * 21.0 - 1.0) * 8.0)
-                     * (-27.0 / 2401.0) * eps ** 3)
+    acc = _series([
+        (sj - t * 3.0) * 2.0,
+        S * S * (ch2 - L * 4.0 - 1.0) * (-9.0 / 7.0),
+        S ** 3 * (sh * (ch2 - L * L * 12.0 + 6.0) * 2.0 - sj * ch * 12.0) * (-9.0 / 49.0),
+        S ** 4 * (ch4 + ch2 * (L ** 3 * (-112.0) + L * L * 168.0 + L * 188.0 + 7.0)
+                  + (L ** 3 * 28.0 - L * L * 21.0 - L * 29.0
+                     - sj * sh2 * L * 21.0 - 1.0) * 8.0) * (-27.0 / 2401.0),
+    ], eps, order)
     return acc.f if not isinstance(s, Jet) else acc
 
 
@@ -761,11 +746,10 @@ def lp_int_u_over_omega(xi, eps: float, order: int = 3):
     """int u_hat / omega d(xi) for the LP orbit (not anchored)."""
     xj = _as_jet(xi) if isinstance(xi, Jet) else Jet.variable(xi)
     t, S, L = jtanh(xj), jsech(xj), jlogcosh(xj)
-    acc = xj * 2.0 - t * 6.0
-    if order >= 1:
-        acc = acc + (S * S * (18.0 / 7.0) + L * (12.0 / 7.0)) * eps
-    if order >= 2:
-        acc = acc + (xj * 4.0 - t * 9.0 + t * S * S * 5.0) * (9.0 / 49.0) * eps ** 2
-    if order >= 3:
-        acc = acc + (S ** 4 * (-21.0) + S * S * 47.0 + L * 8.0) * (18.0 / 2401.0) * eps ** 3
+    acc = _series([
+        xj * 2.0 - t * 6.0,
+        S * S * (18.0 / 7.0) + L * (12.0 / 7.0),
+        (xj * 4.0 - t * 9.0 + t * S * S * 5.0) * (9.0 / 49.0),
+        (S ** 4 * (-21.0) + S * S * 47.0 + L * 8.0) * (18.0 / 2401.0),
+    ], eps, order)
     return acc.f if not isinstance(xi, Jet) else acc

@@ -9,11 +9,12 @@ import sys
 import numpy as np
 
 from .asymptotics import PhaseChoice, lp_solve_quadratic
-from .corrector import NoConvergenceError, convergence_study, ConvergenceRecord
-from .linalg import NotBTError
+from .corrector import convergence_study, ConvergenceRecord
+from .linalg import BorderedSingularError, InconsistentSystemError, NotBTError
 from .model import ModelError, builtin_model, parse_model, HH_BT_STATE, HH_BT_ALPHA
 from .nfcoeffs import NonGenericBTError, analyze_bt
-from .predictor import Method, make_mesh, sample_predictor, lift_parameters
+from .predictor import (Method, NoConvergenceError, make_mesh, sample_predictor,
+                        lift_parameters)
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
@@ -285,7 +286,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog} {args.command}: error: {exc}\n")
-    except (NotBTError, NonGenericBTError, NoConvergenceError) as exc:
+    except (NotBTError, NonGenericBTError, NoConvergenceError, BorderedSingularError,
+            InconsistentSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ModelError as exc:

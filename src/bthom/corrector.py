@@ -17,8 +17,8 @@ import scipy.linalg
 
 from .model import ModelError, OdeModel, eval_rhs, fd_jacobian
 from .nfcoeffs import CmExpansion
-from .predictor import (HomPredictor, Mesh, amplitude_to_eps, make_mesh,
-                        sample_predictor, Method)
+from .predictor import (HomPredictor, Mesh, NoConvergenceError, amplitude_to_eps,
+                        make_mesh, sample_predictor, Method)
 
 __all__ = [
     "NoConvergenceError",
@@ -33,10 +33,6 @@ __all__ = [
     "correct_predictor",
     "convergence_study",
 ]
-
-
-class NoConvergenceError(Exception):
-    pass
 
 
 def _lagrange_matrices(ncol: int, gauss: np.ndarray):

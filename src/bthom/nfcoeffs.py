@@ -17,6 +17,7 @@ no coupled "big" system is assembled.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -49,6 +50,27 @@ _H_NAMES = ["H0010", "H0001", "H2000", "H1100", "H0200", "H1010", "H1001",
             "H0110", "H0101", "H0002", "H0011", "H3000", "H2100", "H1101",
             "H2001", "H0003", "H1002", "H0102"]
 _K_NAMES = ["K10", "K01", "K02", "K11", "K03"]
+
+
+def _taylor(terms: dict, z, d: int | None = None):
+    """Sum of c * prod_k z_k^m_k / m_k! over the (name, c) pairs of terms.
+
+    The exponents m_k are the digits of the name after its letter (H2100 is
+    w0^2 w1 / 2!).  With d given, the partial derivative in z_d instead.
+    """
+    out = 0.0
+    for name, c in terms.items():
+        m = [int(ch) for ch in name[1:]]
+        if d is not None:
+            if m[d] == 0:
+                continue
+            m[d] -= 1
+        mono = 1.0
+        for zk, mk in zip(z, m):
+            if mk:
+                mono = mono * zk ** mk / math.factorial(mk)
+        out = out + c * mono
+    return out
 
 
 @dataclass
@@ -84,43 +106,26 @@ class CmExpansion:
     def alpha0(self) -> np.ndarray:
         return self.eig.alpha0
 
-    def H_eval(self, w0: float, w1: float, beta1: float, beta2: float) -> np.ndarray:
+    @property
+    def _H_terms(self) -> dict[str, np.ndarray]:
+        return {"H1000": self.eig.q0, "H0100": self.eig.q1, **self.H}
+
+    def H_eval(self, w0, w1, beta1, beta2) -> np.ndarray:
         """The embedding H(w, beta) with all implemented terms."""
-        e = self.eig
-        H = self.H
-        return (e.q0 * w0 + e.q1 * w1
-                + H["H0010"] * beta1 + H["H0001"] * beta2
-                + 0.5 * H["H2000"] * w0 * w0 + H["H1100"] * w0 * w1
-                + 0.5 * H["H0200"] * w1 * w1
-                + H["H1010"] * w0 * beta1 + H["H1001"] * w0 * beta2
-                + H["H0110"] * w1 * beta1 + H["H0101"] * w1 * beta2
-                + 0.5 * H["H0002"] * beta2 * beta2 + H["H0011"] * beta1 * beta2
-                + H["H3000"] * w0 ** 3 / 6.0 + 0.5 * H["H2100"] * w0 * w0 * w1
-                + H["H1101"] * w0 * w1 * beta2 + 0.5 * H["H2001"] * w0 * w0 * beta2
-                + H["H0003"] * beta2 ** 3 / 6.0 + 0.5 * H["H1002"] * w0 * beta2 * beta2
-                + 0.5 * H["H0102"] * w1 * beta2 * beta2)
+        return _taylor(self._H_terms, (w0, w1, beta1, beta2))
 
-    def H_w(self, w0: float, w1: float, beta1: float, beta2: float) -> np.ndarray:
+    def H_w(self, w0, w1, beta1, beta2) -> np.ndarray:
         """Jacobian of H with respect to (w0, w1), an n x 2 matrix."""
-        e = self.eig
-        H = self.H
-        d0 = (e.q0 + H["H2000"] * w0 + H["H1100"] * w1
-              + H["H1010"] * beta1 + H["H1001"] * beta2
-              + 0.5 * H["H3000"] * w0 * w0 + H["H2100"] * w0 * w1
-              + H["H1101"] * w1 * beta2 + H["H2001"] * w0 * beta2
-              + 0.5 * H["H1002"] * beta2 * beta2)
-        d1 = (e.q1 + H["H1100"] * w0 + H["H0200"] * w1
-              + H["H0110"] * beta1 + H["H0101"] * beta2
-              + 0.5 * H["H2100"] * w0 * w0 + H["H1101"] * w0 * beta2
-              + 0.5 * H["H0102"] * beta2 * beta2)
-        return np.stack([d0, d1], axis=-1)
+        return np.stack([_taylor(self._H_terms, (w0, w1, beta1, beta2), d) for d in (0, 1)],
+                        axis=-1)
 
-    def K_eval(self, beta1: float, beta2: float) -> np.ndarray:
+    def K_eval(self, beta1, beta2) -> np.ndarray:
         """The parameter map K(beta) relative to alpha0."""
-        K = self.K
-        return (K["K10"] * beta1 + K["K01"] * beta2
-                + 0.5 * K["K02"] * beta2 * beta2 + K["K11"] * beta1 * beta2
-                + K["K03"] * beta2 ** 3 / 6.0)
+        return _taylor(self.K, (beta1, beta2))
+
+    def K_beta(self, beta1, beta2) -> np.ndarray:
+        """Jacobian of K with respect to (beta1, beta2), a 2 x 2 matrix."""
+        return np.stack([_taylor(self.K, (beta1, beta2), d) for d in (0, 1)], axis=-1)
 
     def theta_eval(self, w0: float, beta2: float) -> float:
         return 1.0 + self.theta1000 * w0 + self.theta0001 * beta2

@@ -19,6 +19,7 @@ from .asymptotics import PhaseChoice
 from .nfcoeffs import CmExpansion, Variant
 
 __all__ = [
+    "NoConvergenceError",
     "Method",
     "Mesh",
     "HomPredictor",
@@ -35,6 +36,10 @@ __all__ = [
     "tangent_orientation",
     "d_alpha_d_eps",
 ]
+
+
+class NoConvergenceError(Exception):
+    """An iterative solve (time inversion, Newton correction) did not converge."""
 
 
 @dataclass(frozen=True)
@@ -170,14 +175,9 @@ def _w_beta(expansion: CmExpansion, method, eps: float, eta):
 
 
 def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
-    """Phase-space predictor x(eta) = x0 + H(w(eta), beta)."""
+    """Phase-space predictor x(eta) = x0 + H(w(eta), beta), one row per eta."""
     w0, w1, b1, b2 = _w_beta(expansion, method, eps, eta)
-    if np.ndim(w0) == 0:
-        return expansion.x0 + expansion.H_eval(float(w0), float(w1), b1, b2)
-    pts = np.empty(np.shape(w0) + (expansion.n,))
-    for i in range(w0.size):
-        pts[i] = expansion.x0 + expansion.H_eval(w0[i], w1[i], b1, b2)
-    return pts
+    return expansion.x0 + expansion.H_eval(w0[..., None], w1[..., None], b1, b2)
 
 
 def lift_parameters(expansion: CmExpansion, method, eps: float) -> np.ndarray:
@@ -221,30 +221,38 @@ def _dt_deta(expansion: CmExpansion, method, eps: float, eta):
     return 1.0 + expansion.theta1000 * w0 + expansion.theta0001 * b2
 
 
-def invert_time(expansion: CmExpansion, method, eps: float, t: float,
-                max_iter: int = 100) -> float:
-    """Solve time_reparam(eta) = t by safeguarded Newton."""
+def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 100):
+    """Solve time_reparam(eta) = t for every entry of t by safeguarded Newton.
+
+    Each entry keeps its own bisection bracket and tolerance and stops changing
+    once converged; the result has the shape of t.
+    """
+    t = np.asarray(t, float)
+    target = t.ravel()
+    eta = target + 0.0
     if expansion.variant is not Variant.ORBITAL or (
             expansion.theta1000 == 0.0 and expansion.theta0001 == 0.0):
-        return float(t)
-    tol = 1e-12 * (1.0 + abs(t))
-    eta = float(t)
-    lo, hi = None, None
+        return eta.reshape(t.shape)[()]
+    tol = 1e-12 * (1.0 + np.abs(target))
+    lo = np.full_like(eta, np.nan)     # NaN: no bracket end found yet
+    hi = np.full_like(eta, np.nan)
+    todo = np.ones(eta.shape, bool)
     for _ in range(max_iter):
-        r = float(time_reparam(expansion, method, eps, eta)) - t
-        if abs(r) <= tol:
-            return eta
-        if r > 0:
-            hi = eta if hi is None else min(hi, eta)
-        else:
-            lo = eta if lo is None else max(lo, eta)
-        deriv = float(_dt_deta(expansion, method, eps, eta))
-        step = -r / deriv if deriv > 1e-12 else -r
-        new = eta + step
-        if lo is not None and hi is not None and not (lo < new < hi):
-            new = 0.5 * (lo + hi)
-        eta = new
-    raise RuntimeError(f"time inversion did not converge for t = {t!r}")
+        r = time_reparam(expansion, method, eps, eta) - target
+        todo = ~(np.abs(r) <= tol)
+        if not todo.any():
+            return eta.reshape(t.shape)[()]
+        above = r > 0
+        hi = np.where(todo & above, np.fmin(hi, eta), hi)
+        lo = np.where(todo & ~above, np.fmax(lo, eta), lo)
+        deriv = _dt_deta(expansion, method, eps, eta)
+        new = eta + np.divide(-r, deriv, out=-r, where=deriv > 1e-12)
+        mid = 0.5 * (lo + hi)
+        new = np.where(np.isnan(mid) | ((lo < new) & (new < hi)), new, mid)
+        eta = np.where(todo, new, eta)
+    raise NoConvergenceError(
+        f"time inversion did not converge for {np.count_nonzero(todo)} of "
+        f"{todo.size} times (first t = {target[todo][0]!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -309,10 +317,7 @@ def d_alpha_d_eps(expansion: CmExpansion, method, eps: float) -> np.ndarray:
         b1p = -16.0 / a * eps ** 3
         b2p = (b / a) * (2.0 * tau0 + 4.0 * tau2 * eps ** 2) * eps
     _, _, beta1, beta2 = _w_beta(expansion, method, eps, 0.0)
-    K = expansion.K
-    return (K["K10"] * b1p + K["K01"] * b2p + K["K02"] * beta2 * b2p
-            + K["K11"] * (b1p * beta2 + beta1 * b2p)
-            + 0.5 * K["K03"] * beta2 ** 2 * b2p)
+    return expansion.K_beta(beta1, beta2) @ np.array([b1p, b2p])
 
 
 def tangent_orientation(tangent_alpha1: float, expansion: CmExpansion, method,
@@ -341,12 +346,7 @@ def sample_predictor(expansion: CmExpansion, method, eps: float,
         k = eps * 1e-4
     T = ttol_to_T(k, eps, A0, expansion, m)
 
-    times = -T + 2.0 * T * mesh.fine
-    if expansion.variant is Variant.ORBITAL and (
-            expansion.theta1000 != 0.0 or expansion.theta0001 != 0.0):
-        etas = np.array([invert_time(expansion, m, eps, t) for t in times])
-    else:
-        etas = times
+    etas = invert_time(expansion, m, eps, -T + 2.0 * T * mesh.fine)
     orbit = lift_orbit(expansion, m, eps, etas)
     alpha = lift_parameters(expansion, m, eps)
     s0 = saddle_point(expansion, m, eps)

@@ -232,7 +232,7 @@ class TestLpOrbit:
         assert np.allclose(v_coeff(3), v3, atol=1e-13)
 
     def test_float_recursion_with_zero_gamma_matches_rational(self):
-        tauf, sig, delt, om = asy._lp_recursion(4, gamma=[0.0, 0.0], exact=False)
+        tauf, sig, delt, om, _ = asy._lp_recursion(4, gamma=[0.0, 0.0], exact=False)
         ser = lp_solve_quadratic(4)
         assert np.allclose([float(t) for t in tauf], [float(t) for t in ser.tau], atol=1e-13)
         assert float(sig[2]) == pytest.approx(18 / 49, abs=1e-13)

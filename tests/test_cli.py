@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bthom.cli import main
+from bthom.linalg import BorderedSingularError, InconsistentSystemError
+from bthom.predictor import NoConvergenceError
 
 
 def run(argv, capsys):
@@ -55,6 +57,17 @@ class TestAnalyze:
     def test_non_generic_exits_3(self, capsys):
         code, _, err = run(["analyze", "--model", "bt_nf", "--coeff", "a=0"], capsys)
         assert code == 3
+
+    @pytest.mark.parametrize("error", [BorderedSingularError, InconsistentSystemError,
+                                       NoConvergenceError])
+    def test_numeric_error_exits_3(self, error, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise error("forced")
+
+        monkeypatch.setattr("bthom.cli.analyze_bt", fail)
+        code, _, err = run(["analyze", "--model", "bt_nf"], capsys)
+        assert code == 3
+        assert err.splitlines()[-1].startswith("error: ")
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--nonsense"],

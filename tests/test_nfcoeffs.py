@@ -84,6 +84,15 @@ class TestSmoothChain:
 
 
 class TestHomologicalResidual:
+    @pytest.mark.parametrize("fixture", ["hh_orbital", "nf_smooth"])
+    def test_H_w_matches_central_differences(self, fixture, request):
+        _, ex = request.getfixturevalue(fixture)
+        z, h = np.array([0.1, -0.07, 0.03, 0.05]), 1e-4
+        J = ex.H_w(*z)
+        fd = np.stack([(ex.H_eval(*(z + h * e)) - ex.H_eval(*(z - h * e))) / (2 * h)
+                       for e in np.eye(4)[:2]], axis=-1)
+        assert np.max(np.abs(J - fd)) <= 1e-10 * np.max(np.abs(J))
+
     def test_zero_at_origin(self, nf_orbital):
         oracle, ex = nf_orbital
         r = homological_residual(ex, oracle, [0.0, 0.0], [0.0, 0.0])

@@ -5,10 +5,11 @@ import scipy.optimize as so
 from conftest import NF_COEFFS, fit_slope
 from bthom.model import builtin_model, eval_rhs, parse_model
 from bthom.nfcoeffs import analyze_bt
-from bthom.predictor import (Method, amplitude_to_eps, d_alpha_d_eps,
-                             invert_time, lift_orbit, lift_parameters,
-                             make_mesh, sample_predictor, saddle_point,
-                             tangent_orientation, time_reparam, ttol_to_T)
+from bthom.predictor import (Method, NoConvergenceError, amplitude_to_eps,
+                             d_alpha_d_eps, invert_time, lift_orbit,
+                             lift_parameters, make_mesh, sample_predictor,
+                             saddle_point, tangent_orientation, time_reparam,
+                             ttol_to_T)
 
 RP = Method("rp")
 LP = Method("lp")
@@ -45,6 +46,16 @@ class TestLift:
         assert errs[0] <= 10 * al1s[0] ** 0.75
         assert errs[1] <= 10 * al1s[1] ** 0.75
 
+    @pytest.mark.parametrize("fixture", ["hh_orbital", "nf_smooth"])
+    def test_array_lift_equals_pointwise(self, fixture, request):
+        _, ex = request.getfixturevalue(fixture)
+        eps = 0.1
+        # eta spanning the homoclinic excursion: s = (a/b) eps eta or eps eta
+        s_per_eta = abs(ex.a / ex.b) * eps if fixture == "hh_orbital" else eps
+        etas = np.linspace(-4, 4, 17) / s_per_eta
+        pts = lift_orbit(ex, LP, eps, etas)
+        assert np.array_equal(pts, np.stack([lift_orbit(ex, LP, eps, e) for e in etas]))
+
 
 class TestParameters:
     def test_topological_normal_form(self, bt_nf_orbital):
@@ -70,16 +81,32 @@ class TestTimeReparam:
         assert np.allclose(time_reparam(ex, LP, 0.1, etas), etas, atol=0)
         assert invert_time(ex, LP, 0.1, 1.234) == 1.234
 
-    @pytest.mark.parametrize("method", [RP, LP])
-    def test_anchor_monotone_roundtrip(self, method, nf_orbital):
-        _, ex = nf_orbital
-        for eps in (0.1, 0.05):
+    # HH at the eps of amplitudes 3e-3 and 3e-2, as in the benchmark
+    @pytest.mark.parametrize("fixture, method, amplitudes", [
+        pytest.param("nf_orbital", RP, None, id="method0"),
+        pytest.param("nf_orbital", LP, None, id="method1"),
+        pytest.param("hh_orbital", RP, (3e-3, 3e-2), id="hh-rp"),
+        pytest.param("hh_orbital", LP, (3e-3, 3e-2), id="hh-lp"),
+    ])
+    def test_anchor_monotone_roundtrip(self, fixture, method, amplitudes, request):
+        _, ex = request.getfixturevalue(fixture)
+        epss = (0.1, 0.05) if amplitudes is None else [
+            amplitude_to_eps(A0, ex.a, ex.b, ex.variant) for A0 in amplitudes]
+        for eps in epss:
             assert time_reparam(ex, method, eps, 0.0) == pytest.approx(0.0, abs=1e-14)
             etas = np.linspace(-8, 8, 33)
             ts = np.array([time_reparam(ex, method, eps, e) for e in etas])
             assert np.all(np.diff(ts) > 0)
-            back = [invert_time(ex, method, eps, float(t)) for t in ts]
-            assert np.max(np.abs(np.array(back) - etas)) < 1e-10
+            back = invert_time(ex, method, eps, ts)
+            assert np.array_equal(back, [invert_time(ex, method, eps, t) for t in ts])
+            assert np.max(np.abs(back - etas)) < 1e-10
+
+    def test_no_convergence_is_typed(self, hh_orbital):
+        _, ex = hh_orbital
+        eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
+        ts = np.linspace(-1.0, 1.0, 5) * ttol_to_T(eps * 1e-4, eps, 3e-2, ex, LP)
+        with pytest.raises(NoConvergenceError, match="did not converge for 4 of 5"):
+            invert_time(ex, LP, eps, ts, max_iter=1)
 
     def test_derivative_matches_theta(self, nf_orbital):
         _, ex = nf_orbital
