@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.linalg
 
 from .model import ModelError, OdeModel, eval_rhs, fd_jacobian
 from .nfcoeffs import CmExpansion
@@ -204,7 +206,8 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
                            ric_u.ravel(), ric_s.ravel(), [dist0, dist1]])
 
 
-def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
+def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
+    """Jacobian of `bvp_residual` at z as a sparse (N-1) x N CSC matrix."""
     orbit, s0, alpha, YU, YS, eps0, eps1 = _unpack(bvp, z)
     model, mesh = bvp.model, bvp.mesh
     ntst, ncol, n = mesh.ntst, mesh.ncol, bvp.n
@@ -218,12 +221,21 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     i_ys = i_yu + nS * nU
     i_e0 = m_total - 2
 
+    # (row, col, value) triples; the CSC conversion sums repeated entries
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v):
+        for out, a in zip((rows, cols, vals), np.broadcast_arrays(r, c, v)):
+            out.append(a.ravel())
+
+    def block(r0, c0, M):
+        M = np.atleast_2d(M)
+        put(r0 + np.arange(M.shape[0])[:, None], c0 + np.arange(M.shape[1]), M)
+
     # [f_x | f_alpha] at all collocation points
     xg = _at_gauss(bvp.P, orbit, ntst, ncol)
     fxa = fd_jacobian(model, xg, alpha, 1e-6 * (1.0 + np.max(np.abs(xg))),
                       1e-6 * (1.0 + np.max(np.abs(alpha))))
-
-    J = np.zeros((m_total - 1, m_total))
 
     # collocation rows: Gauss point g = j*ncol + c couples to the ncol + 1
     # orbit nodes j*ncol + k of its interval
@@ -234,23 +246,21 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     inv2T = 1.0 / (2.0 * bvp.T)
     blocks = ((Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
               - Pg[:, :, None, None] * fxa[:, None, :, :n])               # (G, ncol+1, n, n)
-    rows = np.arange(G * n).reshape(G, 1, n, 1)
-    cols = (nodes * n)[:, :, None, None] + np.arange(n)
-    J[rows, cols] = blocks
-    J[:G * n, i_al:i_al + 2] = -fxa[:, :, n:].reshape(G * n, 2)
+    put(np.arange(G * n).reshape(G, 1, n, 1), (nodes * n)[:, :, None, None] + np.arange(n),
+        blocks)
+    block(0, i_al, -fxa[:, :, n:].reshape(G * n, 2))
     row = G * n
 
     # saddle rows
     A_sa = _saddle_jacobian(model, s0, alpha)
-    J[row:row + n, i_s0:i_s0 + n + 2] = A_sa
+    block(row, i_s0, A_sa)
     row += n
 
     # phase row; the end node of one interval is the start node of the next,
     # so contributions accumulate
     w = np.tile(bvp.mesh.gauss_weights, ntst) / ntst
     coeff = w[:, None] * bvp.xt_dot_gauss
-    np.add.at(J[row], (nodes * n)[:, :, None] + np.arange(n),
-              Pg[:, :, None] * coeff[:, None, :])
+    put(row, (nodes * n)[:, :, None] + np.arange(n), Pg[:, :, None] * coeff[:, None, :])
     row += 1
 
     # boundary condition rows
@@ -258,15 +268,15 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     PS = bvp.QSperp - bvp.QS @ YS.T
     du0 = orbit[0] - s0
     du1 = orbit[-1] - s0
-    J[row:row + nS, 0:n] = PU.T
-    J[row:row + nS, i_s0:i_s0 + n] = -PU.T
+    block(row, 0, PU.T)
+    block(row, i_s0, -PU.T)
     r = np.arange(nS)[:, None]
-    J[row + r, i_yu + r * nU + np.arange(nU)] = -(du0 @ bvp.QU)
+    put(row + r, i_yu + r * nU + np.arange(nU), -(du0 @ bvp.QU))
     row += nS
-    J[row:row + nU, n_orb - n:n_orb] = PS.T
-    J[row:row + nU, i_s0:i_s0 + n] = -PS.T
+    block(row, n_orb - n, PS.T)
+    block(row, i_s0, -PS.T)
     r = np.arange(nU)[:, None]
-    J[row + r, i_ys + r * nS + np.arange(nS)] = -(du1 @ bvp.QS)
+    put(row + r, i_ys + r * nS + np.arange(nS), -(du1 @ bvp.QS))
     row += nU
 
     # Riccati rows: analytic in Y, finite differences in (s0, alpha)
@@ -281,8 +291,8 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
         right = t[:k, :k] + t[:k, k:] @ Y
         return np.kron(left, np.eye(Y.shape[1])) - np.kron(np.eye(Y.shape[0]), right.T)
 
-    J[row:row + nS * nU, i_yu:i_yu + nS * nU] = ric_y_block(tU, YU, nU)
-    J[row + nS * nU:row + 2 * nS * nU, i_ys:i_ys + nS * nU] = ric_y_block(tS, YS, nS)
+    block(row, i_yu, ric_y_block(tU, YU, nU))
+    block(row + nS * nU, i_ys, ric_y_block(tS, YS, nS))
 
     # state Jacobians at the 2(n+2) saddle points shifted by +-h along each
     # (s0, alpha) coordinate, in one batched call
@@ -294,28 +304,56 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     dtU = QUfull.T @ dA @ QUfull / (2 * h)
     dtS = QSfull.T @ dA @ QSfull / (2 * h)
     # the Riccati residual is linear homogeneous in the T-blocks
-    J[row:row + nS * nU, i_s0:i_s0 + n + 2] = _ricatti(dtU, YU, nU).reshape(n + 2, -1).T
-    J[row + nS * nU:row + 2 * nS * nU, i_s0:i_s0 + n + 2] = \
-        _ricatti(dtS, YS, nS).reshape(n + 2, -1).T
+    block(row, i_s0, _ricatti(dtU, YU, nU).reshape(n + 2, -1).T)
+    block(row + nS * nU, i_s0, _ricatti(dtS, YS, nS).reshape(n + 2, -1).T)
     row += 2 * nS * nU
 
     # distance rows
     r0 = np.linalg.norm(du0)
     r1 = np.linalg.norm(du1)
-    J[row, 0:n] = du0 / r0
-    J[row, i_s0:i_s0 + n] = -du0 / r0
-    J[row, i_e0] = -1.0
-    J[row + 1, n_orb - n:n_orb] = du1 / r1
-    J[row + 1, i_s0:i_s0 + n] = -du1 / r1
-    J[row + 1, i_e0 + 1] = -1.0
+    block(row, 0, du0 / r0)
+    block(row, i_s0, -du0 / r0)
+    put(row, i_e0, -1.0)
+    block(row + 1, n_orb - n, du1 / r1)
+    block(row + 1, i_s0, -du1 / r1)
+    put(row + 1, i_e0 + 1, -1.0)
+    J = scipy.sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m_total - 1, m_total))
+    # drop stored zeros (vanishing f_x entries, off-diagonals of the identity
+    # and Kronecker blocks): with them, the LU of HH at 160x4 filled in 10x more
+    J.eliminate_zeros()
     return J
+
+
+def _min_norm_step(J, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution of J step = -r, and the unit kernel vector t of J.
+
+    One sparse LU of the bordered square matrix [J; c^T], with c not orthogonal
+    to the kernel of J, gives v (J v = -r, c.v = 0) and w (J w = 0, c.w = 1).
+    The minimum-norm step is v without its component along t = w/|w|.
+    """
+    B = scipy.sparse.vstack([J, scipy.sparse.csc_matrix(c[None, :])], format="csc")
+    lu = scipy.sparse.linalg.splu(B, permc_spec="MMD_AT_PLUS_A")
+    rhs = np.zeros((c.size, 2))
+    rhs[:-1, 0] = -r
+    rhs[-1, 1] = 1.0
+    v, w = lu.solve(rhs).T
+    t = w / np.linalg.norm(w)
+    return v - (t @ v) * t, t
 
 
 def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
                    max_iter: int = 20) -> tuple[np.ndarray, int]:
-    """Moore-Penrose (minimum-norm) Newton onto the solution manifold."""
+    """Moore-Penrose (minimum-norm) Newton onto the solution manifold.
+
+    Each step borders the Jacobian with the previous iteration's kernel
+    vector (first: the normalized all-ones vector), as in the corrector of
+    Allgower & Georg, Introduction to Numerical Continuation Methods (2003).
+    """
     z = np.array(z0, float)
     scale = 1.0 + float(np.max(np.abs(z0)))
+    t = np.full(z.size, z.size ** -0.5)
     r = bvp_residual(bvp, z)
     for it in range(1, max_iter + 1):
         rn = np.linalg.norm(r)
@@ -324,7 +362,13 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
         if rn <= tol * scale:
             return z, it - 1
         J = bvp_jacobian(bvp, z)
-        step, *_ = scipy.linalg.lstsq(J, -r, lapack_driver="gelsd")
+        try:
+            step, t = _min_norm_step(J, r, t)
+        except RuntimeError as exc:      # splu: the factor is exactly singular
+            raise NoConvergenceError(
+                f"singular bordered Jacobian at iteration {it}: {exc}") from exc
+        if not np.all(np.isfinite(step)):
+            raise NoConvergenceError(f"non-finite Newton step at iteration {it}")
         damp = 1.0
         for _ in range(6):
             z_new = z + damp * step

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize as so
+import scipy.sparse
+import scipy.sparse.linalg
 
 from conftest import fit_slope
 from bthom.corrector import (ConvergenceRecord, NoConvergenceError, build_bvp,
                              bvp_jacobian, bvp_residual, convergence_study,
                              correct_predictor, correct_with_retries,
                              newton_correct, pack_unknowns, unpack_orbit,
-                             _unpack, _ricatti)
+                             _min_norm_step, _unpack, _ricatti)
 from bthom.model import eval_rhs
 from bthom.predictor import Method, make_mesh, sample_predictor
 
@@ -20,6 +23,19 @@ def planar_setup(bt_nf_orbital):
     mesh = make_mesh(20, 4)
     pred = sample_predictor(ex, LP, 0.1, mesh, k=1e-5)
     return ex, mesh, pred
+
+
+@pytest.fixture(params=["bt_nf-20x4", "hh-40x4"])
+def predictor_system(request, bt_nf_model, planar_setup, hh_model, hh_orbital):
+    """(bvp, z) of an LP predictor: bt_nf on 20x4 or HH on 40x4."""
+    if request.param == "bt_nf-20x4":
+        model, (_, mesh, pred) = bt_nf_model, planar_setup
+    else:
+        model, mesh = hh_model, make_mesh(40, 4)
+        pred = sample_predictor(hh_orbital[1], LP, 0.1, mesh, k=1e-5)
+    bvp = build_bvp(model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+    return bvp, pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                              eps0=pred.eps0, eps1=pred.eps1)
 
 
 class TestResidual:
@@ -60,19 +76,10 @@ class TestResidual:
             res.append(np.linalg.norm(bvp_residual(bvp, z)) / pred.T)
         assert fit_slope(epss, res) >= 3.0
 
-    @pytest.mark.parametrize("case", ["bt_nf-20x4", "hh-40x4"])
-    def test_jacobian_matches_directional_finite_differences(self, case, bt_nf_model,
-                                                             planar_setup, hh_model,
-                                                             hh_orbital):
-        if case == "bt_nf-20x4":
-            model, (_, mesh, pred) = bt_nf_model, planar_setup
-        else:
-            model, mesh = hh_model, make_mesh(40, 4)
-            pred = sample_predictor(hh_orbital[1], LP, 0.1, mesh, k=1e-5)
-        bvp = build_bvp(model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
-        z = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
-                          eps0=pred.eps0, eps1=pred.eps1)
+    def test_jacobian_matches_directional_finite_differences(self, predictor_system):
+        bvp, z = predictor_system
         J = bvp_jacobian(bvp, z)
+        assert scipy.sparse.issparse(J) and J.format == "csc"
         rng = np.random.default_rng(1)
         h = 1e-7
         for _ in range(4):
@@ -108,6 +115,33 @@ class TestNewton:
                           eps0=pred.eps0, eps1=pred.eps1)
         with pytest.raises(NoConvergenceError):
             newton_correct(bvp, z, max_iter=8)
+
+    def test_sparse_step_matches_dense_min_norm(self, predictor_system):
+        bvp, z = predictor_system
+        J, r = bvp_jacobian(bvp, z), bvp_residual(bvp, z)
+        step, t = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        dense = scipy.linalg.lstsq(J.toarray(), -r, lapack_driver="gelsd")[0]
+        assert np.linalg.norm(step - dense) <= 1e-7 * np.linalg.norm(dense)
+        assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(J @ t) <= 1e-8 * scipy.sparse.linalg.norm(J, 1)
+        assert abs(t @ step) <= 1e-10 * np.linalg.norm(step)
+
+    def test_singular_bordered_jacobian_is_typed(self, bt_nf_model, planar_setup,
+                                                 monkeypatch):
+        _, mesh, pred = planar_setup
+        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        z = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                          eps0=pred.eps0, eps1=pred.eps1)
+
+        def zero_first_row(bvp, z):
+            J = bvp_jacobian(bvp, z)
+            keep = np.ones(J.shape[0])
+            keep[0] = 0.0
+            return (scipy.sparse.diags(keep) @ J).tocsc()
+
+        monkeypatch.setattr("bthom.corrector.bvp_jacobian", zero_first_row)
+        with pytest.raises(NoConvergenceError, match="singular .* at iteration 1"):
+            newton_correct(bvp, z)
 
     def test_unexpected_error_in_trial_step_propagates(self, bt_nf_model, planar_setup,
                                                        monkeypatch):

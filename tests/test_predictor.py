@@ -108,6 +108,19 @@ class TestTimeReparam:
         with pytest.raises(NoConvergenceError, match="did not converge for 4 of 5"):
             invert_time(ex, LP, eps, ts, max_iter=1)
 
+    def test_bisection_safeguard_when_newton_overshoots(self, hh_orbital, monkeypatch):
+        import bthom.predictor as pr
+        _, ex = hh_orbital
+        eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
+        ts = np.linspace(-30, 30, 41)
+        exact = invert_time(ex, LP, eps, ts)
+        true_slope = pr._dt_deta
+        # a slope 10x too small makes Newton overshoot its bracket
+        monkeypatch.setattr(pr, "_dt_deta", lambda *args: 0.1 * true_slope(*args))
+        back = invert_time(ex, LP, eps, ts)
+        assert np.max(np.abs(time_reparam(ex, LP, eps, back) - ts)) <= 1e-10
+        assert np.max(np.abs(back - exact)) <= 1e-9
+
     def test_derivative_matches_theta(self, nf_orbital):
         _, ex = nf_orbital
         eps, h = 0.1, 1e-6
