@@ -1,7 +1,7 @@
 """Third-order homoclinic predictors near Bogdanov-Takens points.
 
 Pipeline:  parse an ODE model with two active parameters, build the
-finite-difference multilinear oracle at the BT equilibrium, compute the
+Taylor-jet multilinear oracle at the BT equilibrium, compute the
 parameter-dependent center-manifold transformation for one of three
 normal-form variants, lift the planar homoclinic asymptotics (regular
 perturbation or polynomial Lindstedt-Poincare) to phase space, and correct

@@ -21,14 +21,11 @@ from math import comb
 
 import numpy as np
 
+from .jet import Jet, as_jet, cosh, elementary, sech, sinh, tanh
+
 __all__ = [
     "PhaseChoice",
-    "Jet",
-    "jtanh",
-    "jcosh",
-    "jsinh",
-    "jsech",
-    "jlogcosh",
+    "logcosh",
     "LN2",
     "ZETA2",
     "ZETA3",
@@ -74,74 +71,6 @@ class PhaseChoice(enum.Enum):
     ALTGAMMA = "altgamma"  # alternative LP phase with gamma_1 != 0
 
 
-# ---------------------------------------------------------------------------
-# second-order jets: exact value/derivative/second-derivative arithmetic
-# ---------------------------------------------------------------------------
-
-class Jet:
-    """Truncated second-order Taylor arithmetic in one variable.
-
-    Supports numpy array payloads, so series can be evaluated on grids.
-    """
-
-    __slots__ = ("f", "d", "dd")
-
-    def __init__(self, f, d=0.0, dd=0.0):
-        self.f, self.d, self.dd = f, d, dd
-
-    @staticmethod
-    def variable(s):
-        return Jet(np.asarray(s, float) + 0.0, np.ones_like(np.asarray(s, float)), 0.0)
-
-    def __add__(self, o):
-        if isinstance(o, Jet):
-            return Jet(self.f + o.f, self.d + o.d, self.dd + o.dd)
-        return Jet(self.f + o, self.d, self.dd)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.f, -self.d, -self.dd)
-
-    def __sub__(self, o):
-        return self + (-o if isinstance(o, Jet) else -o)
-
-    def __rsub__(self, o):
-        return (-self) + o
-
-    def __mul__(self, o):
-        if isinstance(o, Jet):
-            return Jet(self.f * o.f, self.d * o.f + self.f * o.d,
-                       self.dd * o.f + 2.0 * self.d * o.d + self.f * o.dd)
-        return Jet(self.f * o, self.d * o, self.dd * o)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        if isinstance(o, Jet):
-            inv = o._chain(1.0 / o.f, -1.0 / o.f ** 2, 2.0 / o.f ** 3)
-            return self * inv
-        return Jet(self.f / o, self.d / o, self.dd / o)
-
-    def __rtruediv__(self, o):
-        inv = self._chain(1.0 / self.f, -1.0 / self.f ** 2, 2.0 / self.f ** 3)
-        return inv * o
-
-    def __pow__(self, k: int):
-        out = Jet(np.ones_like(np.asarray(self.f, float)) + 0.0)
-        base = self
-        for _ in range(k):
-            out = out * base
-        return out
-
-    def _chain(self, g, gp, gpp):
-        return Jet(g, gp * self.d, gpp * self.d * self.d + gp * self.dd)
-
-
-def _as_jet(x):
-    return x if isinstance(x, Jet) else Jet(np.asarray(x, float) + 0.0)
-
-
 def _series(terms, eps: float, order: int):
     """terms[0] + sum_{i=1..order} terms[i] eps^i, summed left to right.
 
@@ -153,35 +82,12 @@ def _series(terms, eps: float, order: int):
     return acc
 
 
-def jtanh(x):
-    x = _as_jet(x)
-    t = np.tanh(x.f)
-    return x._chain(t, 1.0 - t * t, -2.0 * t * (1.0 - t * t))
-
-
-def jcosh(x):
-    x = _as_jet(x)
-    return x._chain(np.cosh(x.f), np.sinh(x.f), np.cosh(x.f))
-
-
-def jsinh(x):
-    x = _as_jet(x)
-    return x._chain(np.sinh(x.f), np.cosh(x.f), np.sinh(x.f))
-
-
-def jsech(x):
-    x = _as_jet(x)
-    s, t = 1.0 / np.cosh(x.f), np.tanh(x.f)
-    return x._chain(s, -s * t, s * (t * t - s * s))
-
-
-def jlogcosh(x):
-    """log(cosh(x)), stable for large |x|."""
-    x = _as_jet(x)
-    a = np.abs(x.f)
-    val = a + np.log1p(np.exp(-2.0 * a)) - LN2
-    t = np.tanh(x.f)
-    return x._chain(val, t, 1.0 - t * t)
+@elementary
+def logcosh(x0, order):
+    """log(cosh(x)), stable for large |x|; its derivative is tanh."""
+    a = np.abs(x0)
+    t = tanh(Jet.variable(x0, order - 1)).c if order else ()
+    return [a + np.log1p(np.exp(-2.0 * a)) - LN2] + [tk / (k + 1) for k, tk in enumerate(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -190,41 +96,39 @@ def jlogcosh(x):
 
 def u0(s):
     """Explicit homoclinic solution of the Hamiltonian limit: (u, u')."""
-    t = np.tanh(s)
-    sech2 = 1.0 - t * t
-    return 6.0 * t * t - 4.0, 12.0 * t * sech2
+    u = _u0_jet(Jet.variable(s, 1))
+    return u.f, u.d
 
 
 def _u0_jet(s):
-    t = jtanh(s)
+    t = tanh(s)
     return t * t * 6.0 - 4.0
 
 
 def _udot0_jet(s):
-    t, S = jtanh(s), jsech(s)
+    t, S = tanh(s), sech(s)
     return t * S * S * 12.0
 
 
 def _u1_vzero(s):
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
+    t, S, L = tanh(s), sech(s), logcosh(s)
     return t * S * S * L * (-72.0 / 7.0)
 
 
 def _u2_vzero(s):
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
+    t, S, L = tanh(s), sech(s), logcosh(s)
     inner = (S * S * (L * (-32.0) + (L * (L + 2.0)) * 12.0 - 5.0) * 3.0
-             + _as_jet(s) * t * (-12.0) - (L - 1.0) * L * 24.0 + 14.0)
+             + s * t * (-12.0) - (L - 1.0) * L * 24.0 + 14.0)
     return S * S * inner * (18.0 / 49.0)
 
 
 def _u3_vzero(s):
-    sj = _as_jet(s)
-    S, L = jsech(s), jlogcosh(s)
-    sh, sh3 = jsinh(s), jsinh(sj * 3.0)
-    ch, ch3 = jcosh(s), jcosh(sj * 3.0)
+    S, L = sech(s), logcosh(s)
+    sh, sh3 = sinh(s), sinh(s * 3.0)
+    ch, ch3 = cosh(s), cosh(s * 3.0)
     inner = (sh * (-273.0) + sh3 * 91.0
-             + sj * ch3 * (L * 2.0 - 1.0) * 84.0
-             - sj * ch * (L * 6.0 - 1.0) * 84.0
+             + s * ch3 * (L * 2.0 - 1.0) * 84.0
+             - s * ch * (L * 6.0 - 1.0) * 84.0
              - sh * L ** 3 * 1232.0 + sh3 * L ** 3 * 112.0
              + sh * L * L * 2016.0 - sh3 * L * L * 336.0
              + sh * L * 904.0 - sh3 * L * 104.0)
@@ -233,29 +137,27 @@ def _u3_vzero(s):
 
 def _u1_l2(s):
     # L2-corrected first order (the gamma_1 shift is already folded in)
-    M = jlogcosh(s) + LN2
+    M = logcosh(s) + LN2
     return (M * (-70.0) + 59.0) * _udot0_jet(s) * (3.0 / 245.0)
 
 
 def _u2_l2(s):
-    sj = _as_jet(s)
-    t, S = jtanh(s), jsech(s)
-    M = jlogcosh(s) + LN2
+    t, S = tanh(s), sech(s)
+    M = logcosh(s) + LN2
     inner = (S * S * ((M * (M * 105.0 - 247.0)) * 70.0 + 6289.0) * 3.0
-             - (sj * t * 3675.0 + M * (M * 35.0 - 94.0) * 210.0 + 7129.0) * 2.0)
+             - (s * t * 3675.0 + M * (M * 35.0 - 94.0) * 210.0 + 7129.0) * 2.0)
     return S * S * inner * (36.0 / 60025.0)
 
 
 def _u3_l2_raw(s):
-    sj = _as_jet(s)
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
+    t, S, L = tanh(s), sech(s), logcosh(s)
     M = L + LN2
-    ch2 = jcosh(sj * 2.0)
-    inner = (S * S * (sj * (M * 210.0 - 247.0) * 3675.0
+    ch2 = cosh(s * 2.0)
+    inner = (S * S * (s * (M * 210.0 - 247.0) * 3675.0
                       + t * (M ** 3 * (ch2 - 5.0) * (-171500.0)
                              + M * M * (ch2 * 129.0 - 470.0) * 7350.0
                              + M * 4456830.0 - 966242.0))
-             - (sj * (M * 35.0 - 47.0) * 210.0 + t * L * 30673.0) * 70.0)
+             - (s * (M * 35.0 - 47.0) * 210.0 + t * L * 30673.0) * 70.0)
     return S * S * inner * (216.0 / 14706125.0)
 
 
@@ -271,7 +173,7 @@ def _rp_terms(phase: PhaseChoice):
 def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
              order: int = 3):
     """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
-    sj = Jet.variable(s)
+    sj = Jet.variable(s, 1)
     acc = _series([term(sj) for term in _rp_terms(phase)[:order + 1]], eps, order)
     return acc.f, acc.d
 
@@ -523,21 +425,13 @@ def _lp_uv(u_polys, om, zeta, eps: float, order: int):
     """
     zeta = np.asarray(zeta, float)
     order = min(order, 3)
-    u_i = [_peval_np(p, zeta) for p in u_polys[:order + 1]]
-    du_i = [_peval_np(_pderiv(p), zeta) for p in u_polys[:order + 1]]
-    om_i = [_peval_np(p, zeta) for p in om[:order + 1]]
+    u_i = [_peval(p, Jet.variable(zeta, 1)) for p in u_polys[:order + 1]]
+    om_i = [_peval(p, zeta) for p in om[:order + 1]]
     v = np.zeros_like(zeta)
     for i in range(order + 1):
         for j in range(order + 1 - i):
-            v = v + om_i[i] * du_i[j] * eps ** (i + j)
-    return _series(u_i, eps, order), (1.0 - zeta * zeta) * v
-
-
-def _peval_np(p, x):
-    out = np.zeros_like(np.asarray(x, float))
-    for a in reversed(list(p)):
-        out = out * x + a
-    return out
+            v = v + om_i[i] * u_i[j].d * eps ** (i + j)
+    return _series([u.f for u in u_i], eps, order), (1.0 - zeta * zeta) * v
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +439,12 @@ def _peval_np(p, x):
 # ---------------------------------------------------------------------------
 
 def _xi_terms_vzero(s):
-    sj = _as_jet(s)
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
+    t, S, L = tanh(s), sech(s), logcosh(s)
     xi1 = L * (-6.0 / 7.0)
-    xi2 = sj * (-18.0 / 49.0) + t * (45.0 / 98.0) + t * L * (36.0 / 49.0)
-    ch2, sh2 = jcosh(sj * 2.0), jsinh(sj * 2.0)
+    xi2 = s * (-18.0 / 49.0) + t * (45.0 / 98.0) + t * L * (36.0 / 49.0)
+    ch2, sh2 = cosh(s * 2.0), sinh(s * 2.0)
     xi3 = (S * S * (L * L * (-504.0) - ch2 * L * 276.0 + L * 102.0
-                    + sj * sh2 * 252.0 + 546.0) * 3.0) * (1.0 / 4802.0) - 117.0 / 343.0
+                    + s * sh2 * 252.0 + 546.0) * 3.0) * (1.0 / 4802.0) - 117.0 / 343.0
     return xi1, xi2, xi3
 
 
@@ -560,11 +453,10 @@ def _xi_terms_altgamma(s):
     # to the v(0)=0 phase; with it the third-order closed form is consistent
     # with the omega recursion for the gamma_1-modified family.
     g = ALT_GAMMA1
-    sj = _as_jet(s)
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
+    t, S, L = tanh(s), sech(s), logcosh(s)
     xi1, xi2, _ = _xi_terms_vzero(s)
     xi2 = xi2 - t * (6.0 * g / 7.0 + 1.5 * g * g)
-    xi3 = ((L * (-92.0) + sj * t * 84.0 + (49.0 * g * (7.0 * g + 4.0) - 105.0)) * 18.0
+    xi3 = ((L * (-92.0) + s * t * 84.0 + (49.0 * g * (7.0 * g + 4.0) - 105.0)) * 18.0
            - S * S * (L * (-18.0 * (7.0 * g * (7.0 * g + 4.0) + 9.0))
                       + L * L * 216.0
                       + (-7.0 * g * (7.0 * g - 3.0) * (35.0 * g + 9.0) - 234.0)) * 7.0
@@ -581,8 +473,7 @@ def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
         terms = _xi_terms_altgamma(s)
     else:
         raise ValueError("xi(s) exists for the VZERO and ALTGAMMA phases only")
-    acc = _series((_as_jet(s) if isinstance(s, Jet) else Jet.variable(s),) + terms,
-                  eps, order)
+    acc = _series((as_jet(s),) + terms, eps, order)
     return acc if isinstance(s, Jet) else acc.f
 
 
@@ -641,31 +532,29 @@ def _smooth_u_polys(coeffs):
 
 def _smooth_xi_terms(s, coeffs):
     a, b, a1, b1, d, e = coeffs
-    sj = _as_jet(s)
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
+    t, S, L = tanh(s), sech(s), logcosh(s)
     xi1 = L * (-6.0 * b / (7.0 * a))
-    xi2 = (sj * (2.0 * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d))
+    xi2 = (s * (2.0 * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d))
            + t * (L * (16.0 * b * b) + 10.0 * b * b - 49.0 * d) * 9.0) * (1.0 / (196.0 * a * a))
     xi3 = (S * S * (L * (-27.0 * b * (6.0 * b * b + 49.0 * d))
                     + L * L * (216.0 * b ** 3)
                     + (1372.0 * a * e - 234.0 * b ** 3 - 147.0 * b * d)) * (-7.0)
            + L * (-5880.0 * a * b * b1 + 4410.0 * a1 * b * b
                   - 1656.0 * b ** 3 + 2940.0 * b * d)
-           + sj * t * (42.0 * b * (-35.0 * a1 * b + 36.0 * b * b - 98.0 * d))
+           + s * t * (42.0 * b * (-35.0 * a1 * b + 36.0 * b * b - 98.0 * d))
            + 9604.0 * a * e - 1638.0 * b ** 3 - 1029.0 * b * d) * (1.0 / (4802.0 * a ** 3))
     return xi1, xi2, xi3
 
 
 def _smooth_rp_terms(s, coeffs):
     a, b, a1, b1, d, e = coeffs
-    sj = _as_jet(s)
-    t, S, L = jtanh(s), jsech(s), jlogcosh(s)
-    sh, ch = jsinh(s), jcosh(s)
-    ch2, ch3, ch4 = jcosh(sj * 2.0), jcosh(sj * 3.0), jcosh(sj * 4.0)
-    sh2 = jsinh(sj * 2.0)
+    t, S, L = tanh(s), sech(s), logcosh(s)
+    sh, ch = sinh(s), cosh(s)
+    ch2, ch3, ch4 = cosh(s * 2.0), cosh(s * 3.0), cosh(s * 4.0)
+    sh2 = sinh(s * 2.0)
 
     u1 = t * S * S * L * (-72.0 * b / (7.0 * a))
-    u2 = (sj * sh2 * (12.0 * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d))
+    u2 = (s * sh2 * (12.0 * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d))
           + ch2 * ((7.0 * (5.0 * a1 * b + 9.0 * b * b - 56.0 * d))
                    - L * L * (108.0 * b * b) + L * (108.0 * b * b)) * 8.0
           + (L * L * (192.0 * b * b) - L * (96.0 * b * b)
@@ -679,8 +568,8 @@ def _smooth_rp_terms(s, coeffs):
                                     + 1200.0 * b * b - 9408.0 * d)
                  + 7.0 * (1372.0 * a * e - 234.0 * b ** 3 - 147.0 * b * d)
                  - L ** 3 * (10080.0 * b ** 3) + L * L * (15120.0 * b ** 3)) * (-2.0))
-          + sj * ch3 * (42.0 * b * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d)) * (L * 2.0 - 1.0)
-          + sj * ch * (42.0 * b * (-35.0 * a1 * b + 36.0 * b * b - 98.0 * d)) * (L * 6.0 - 1.0)
+          + s * ch3 * (42.0 * b * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d)) * (L * 2.0 - 1.0)
+          + s * ch * (42.0 * b * (-35.0 * a1 * b + 36.0 * b * b - 98.0 * d)) * (L * 6.0 - 1.0)
           ) * S ** 5 * (3.0 / (4802.0 * a ** 3))
     return u1, u2, u3
 
@@ -697,7 +586,7 @@ def smooth_orbit(s_or_zeta, eps: float, coeffs, mode: str = "LP",
         raise ValueError("a and b must be nonzero")
     order = min(order, 3)
     if mode.upper() == "RP":
-        sj = Jet.variable(s_or_zeta)
+        sj = Jet.variable(s_or_zeta, 1)
         acc = _series((_u0_jet(sj),) + _smooth_rp_terms(sj, coeffs), eps, order)
         return acc.f, acc.d
     if mode.upper() != "LP":
@@ -717,7 +606,7 @@ def smooth_orbit_of_s(s, eps: float, coeffs, order: int = 3,
 
 
 def smooth_xi_of_s(s, eps: float, coeffs, order: int = 3):
-    sj = Jet.variable(s)
+    sj = as_jet(s)
     return _series((sj,) + _smooth_xi_terms(sj, coeffs), eps, order).f
 
 
@@ -727,29 +616,27 @@ def smooth_xi_of_s(s, eps: float, coeffs, order: int = 3):
 
 def rp_int_u(s, eps: float, order: int = 3):
     """int u ds for the regular-perturbation orbit, anchored so t(0) = 0."""
-    sj = _as_jet(s) if isinstance(s, Jet) else Jet.variable(s)
-    t, S, L = jtanh(sj), jsech(sj), jlogcosh(sj)
-    sh, ch = jsinh(sj), jcosh(sj)
-    ch2, sh2, ch4 = jcosh(sj * 2.0), jsinh(sj * 2.0), jcosh(sj * 4.0)
+    t, S, L = tanh(s), sech(s), logcosh(s)
+    sh, ch = sinh(s), cosh(s)
+    ch2, sh2, ch4 = cosh(s * 2.0), sinh(s * 2.0), cosh(s * 4.0)
     acc = _series([
-        (sj - t * 3.0) * 2.0,
+        (s - t * 3.0) * 2.0,
         S * S * (ch2 - L * 4.0 - 1.0) * (-9.0 / 7.0),
-        S ** 3 * (sh * (ch2 - L * L * 12.0 + 6.0) * 2.0 - sj * ch * 12.0) * (-9.0 / 49.0),
+        S ** 3 * (sh * (ch2 - L * L * 12.0 + 6.0) * 2.0 - s * ch * 12.0) * (-9.0 / 49.0),
         S ** 4 * (ch4 + ch2 * (L ** 3 * (-112.0) + L * L * 168.0 + L * 188.0 + 7.0)
                   + (L ** 3 * 28.0 - L * L * 21.0 - L * 29.0
-                     - sj * sh2 * L * 21.0 - 1.0) * 8.0) * (-27.0 / 2401.0),
+                     - s * sh2 * L * 21.0 - 1.0) * 8.0) * (-27.0 / 2401.0),
     ], eps, order)
     return acc.f if not isinstance(s, Jet) else acc
 
 
 def lp_int_u_over_omega(xi, eps: float, order: int = 3):
     """int u_hat / omega d(xi) for the LP orbit (not anchored)."""
-    xj = _as_jet(xi) if isinstance(xi, Jet) else Jet.variable(xi)
-    t, S, L = jtanh(xj), jsech(xj), jlogcosh(xj)
+    t, S, L = tanh(xi), sech(xi), logcosh(xi)
     acc = _series([
-        xj * 2.0 - t * 6.0,
+        xi * 2.0 - t * 6.0,
         S * S * (18.0 / 7.0) + L * (12.0 / 7.0),
-        (xj * 4.0 - t * 9.0 + t * S * S * 5.0) * (9.0 / 49.0),
+        (xi * 4.0 - t * 9.0 + t * S * S * 5.0) * (9.0 / 49.0),
         (S ** 4 * (-21.0) + S * S * 47.0 + L * 8.0) * (18.0 / 2401.0),
     ], eps, order)
     return acc.f if not isinstance(xi, Jet) else acc

@@ -17,7 +17,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .model import ModelError, OdeModel, eval_rhs, fd_jacobian
+from .model import ModelError, OdeModel, derivatives, eval_rhs
 from .nfcoeffs import CmExpansion
 from .predictor import (HomPredictor, Mesh, NoConvergenceError, amplitude_to_eps,
                         make_mesh, sample_predictor, Method)
@@ -61,16 +61,6 @@ def _at_gauss(M: np.ndarray, orbit: np.ndarray, ntst: int, ncol: int) -> np.ndar
     """
     nodes = np.arange(ntst)[:, None] * ncol + np.arange(ncol + 1)
     return (M.T @ orbit[nodes]).reshape(ntst * ncol, -1)
-
-
-def _step(v) -> float:
-    """The corrector's central-difference step at the point v."""
-    return 1e-6 * (1.0 + np.linalg.norm(v))
-
-
-def _saddle_jacobian(model: OdeModel, s0, alpha) -> np.ndarray:
-    """[f_x | f_alpha] at the saddle."""
-    return fd_jacobian(model, s0, alpha, _step(s0), _step(alpha))
 
 
 @dataclass
@@ -118,7 +108,7 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
               s0: np.ndarray, alpha: np.ndarray) -> HomBvp:
     """Freeze eigenspace bases at (s0, alpha) and precompute collocation data."""
     n = model.dim
-    A = _saddle_jacobian(model, s0, alpha)[:, :n]
+    A = derivatives(model, s0, alpha)[0][:, :n]
     TU, ZU, nU = scipy.linalg.schur(A, output="real", sort="rhp")
     if nU == 0 or nU == n:
         raise NoConvergenceError(f"saddle has {nU} unstable directions; need 1..{n-1}")
@@ -193,7 +183,7 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     bc_left = PU.T @ (orbit[0] - s0)
     bc_right = PS.T @ (orbit[-1] - s0)
 
-    A = _saddle_jacobian(model, s0, alpha)[:, :bvp.n]
+    A = derivatives(model, s0, alpha)[0][:, :bvp.n]
     QUfull = np.hstack([bvp.QU, bvp.QUperp])
     QSfull = np.hstack([bvp.QS, bvp.QSperp])
     ric_u = _ricatti(QUfull.T @ A @ QUfull, YU, bvp.n_unstable)
@@ -234,8 +224,7 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
 
     # [f_x | f_alpha] at all collocation points
     xg = _at_gauss(bvp.P, orbit, ntst, ncol)
-    fxa = fd_jacobian(model, xg, alpha, 1e-6 * (1.0 + np.max(np.abs(xg))),
-                      1e-6 * (1.0 + np.max(np.abs(alpha))))
+    fxa = derivatives(model, xg, alpha)[0]
 
     # collocation rows: Gauss point g = j*ncol + c couples to the ncol + 1
     # orbit nodes j*ncol + k of its interval
@@ -251,8 +240,8 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     block(0, i_al, -fxa[:, :, n:].reshape(G * n, 2))
     row = G * n
 
-    # saddle rows
-    A_sa = _saddle_jacobian(model, s0, alpha)
+    # saddle rows; T2 is the second derivative tensor at the saddle
+    A_sa, T2 = derivatives(model, s0, alpha, 2)
     block(row, i_s0, A_sa)
     row += n
 
@@ -279,7 +268,7 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     put(row + r, i_ys + r * nS + np.arange(nS), -(du1 @ bvp.QS))
     row += nU
 
-    # Riccati rows: analytic in Y, finite differences in (s0, alpha)
+    # Riccati rows
     A = A_sa[:, :n]
     QUfull = np.hstack([bvp.QU, bvp.QUperp])
     QSfull = np.hstack([bvp.QS, bvp.QSperp])
@@ -294,15 +283,10 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     block(row, i_yu, ric_y_block(tU, YU, nU))
     block(row + nS * nU, i_ys, ric_y_block(tS, YS, nS))
 
-    # state Jacobians at the 2(n+2) saddle points shifted by +-h along each
-    # (s0, alpha) coordinate, in one batched call
-    h = 1e-5 * (1.0 + float(np.linalg.norm(s0)))
-    shifts = h * np.vstack([np.eye(n + 2), -np.eye(n + 2)])
-    sp, ap = s0 + shifts[:, :n], alpha + shifts[:, n:]
-    Apm = fd_jacobian(model, sp, ap, [_step(p) for p in sp])[:, :, :n]
-    dA = Apm[:n + 2] - Apm[n + 2:]
-    dtU = QUfull.T @ dA @ QUfull / (2 * h)
-    dtS = QSfull.T @ dA @ QSfull / (2 * h)
+    # dA/dp for each (s0, alpha) coordinate p
+    dA = np.moveaxis(T2[:, :n, :], -1, 0)
+    dtU = QUfull.T @ dA @ QUfull
+    dtS = QSfull.T @ dA @ QSfull
     # the Riccati residual is linear homogeneous in the T-blocks
     block(row, i_s0, _ricatti(dtU, YU, nU).reshape(n + 2, -1).T)
     block(row + nS * nU, i_s0, _ricatti(dtS, YS, nS).reshape(n + 2, -1).T)
@@ -326,8 +310,9 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     return J
 
 
-def _min_norm_step(J, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solution of J step = -r, and the unit kernel vector t of J.
+def _min_norm_step(J, r: np.ndarray, c: np.ndarray):
+    """Minimum-norm solution of J step = -r, the unit kernel vector t of J, and
+    the same solve for other right-hand sides.
 
     One sparse LU of the bordered square matrix [J; c^T], with c not orthogonal
     to the kernel of J, gives v (J v = -r, c.v = 0) and w (J w = 0, c.w = 1).
@@ -340,7 +325,12 @@ def _min_norm_step(J, r: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndar
     rhs[-1, 1] = 1.0
     v, w = lu.solve(rhs).T
     t = w / np.linalg.norm(w)
-    return v - (t @ v) * t, t
+
+    def solve(rhs):
+        x = lu.solve(np.append(-rhs, 0.0))
+        return x - (t @ x) * t
+
+    return v - (t @ v) * t, t, solve
 
 
 def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
@@ -350,6 +340,11 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
     Each step borders the Jacobian with the previous iteration's kernel
     vector (first: the normalized all-ones vector), as in the corrector of
     Allgower & Georg, Introduction to Numerical Continuation Methods (2003).
+    The step is halved until the trial point passes the natural monotonicity
+    test of Deuflhard, Newton Methods for Nonlinear Problems (2004): its
+    simplified Newton correction, from the same factorization, is shorter
+    than the step.  Unlike the residual norm, that test does not depend on
+    how the equations are scaled.
     """
     z = np.array(z0, float)
     scale = 1.0 + float(np.max(np.abs(z0)))
@@ -363,20 +358,21 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
             return z, it - 1
         J = bvp_jacobian(bvp, z)
         try:
-            step, t = _min_norm_step(J, r, t)
+            step, t, solve = _min_norm_step(J, r, t)
         except RuntimeError as exc:      # splu: the factor is exactly singular
             raise NoConvergenceError(
                 f"singular bordered Jacobian at iteration {it}: {exc}") from exc
         if not np.all(np.isfinite(step)):
             raise NoConvergenceError(f"non-finite Newton step at iteration {it}")
+        step_norm = np.linalg.norm(step)
         damp = 1.0
         for _ in range(6):
             z_new = z + damp * step
             try:
                 r_new = bvp_residual(bvp, z_new)
             except ModelError:
-                r_new = np.array([np.inf])
-            if np.linalg.norm(r_new) < rn:
+                r_new = None
+            if r_new is not None and np.linalg.norm(solve(r_new)) < step_norm:
                 break
             damp *= 0.5
         else:
@@ -390,11 +386,20 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
 
 def correct_predictor(model: OdeModel, pred: HomPredictor,
                       tol: float = 1e-10) -> tuple[HomBvp, np.ndarray, int]:
-    """Build the defining system around a predictor and Newton-correct it."""
-    bvp = build_bvp(model, pred.mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
-    z0 = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
-                       eps0=pred.eps0, eps1=pred.eps1)
-    z, iters = newton_correct(bvp, z0, tol=tol)
+    """Build the defining system around a predictor and Newton-correct it.
+
+    A model evaluation that fails (the predictor left the model's domain) is
+    a :class:`NoConvergenceError` naming the stage, so callers can retry.
+    """
+    stage = "build_bvp"
+    try:
+        bvp = build_bvp(model, pred.mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        z0 = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                           eps0=pred.eps0, eps1=pred.eps1)
+        stage = "newton_correct"
+        z, iters = newton_correct(bvp, z0, tol=tol)
+    except ModelError as exc:
+        raise NoConvergenceError(f"{stage}: {exc}") from exc
     return bvp, z, iters
 
 
@@ -453,7 +458,7 @@ def _method_label(m: Method) -> str:
 
 def convergence_study(model: OdeModel, expansion: CmExpansion, methods,
                       orders, amplitudes, mesh: Mesh | None = None,
-                      k_factor: float = 1e-4, tol: float = 1e-11) -> list[ConvergenceRecord]:
+                      k_factor: float = 1e-4, tol: float = 1e-12) -> list[ConvergenceRecord]:
     """delta(X) between predicted and corrected orbits over a method/order/A0 grid.
 
     A failed correction is recorded with delta = nan rather than raised.

@@ -1,0 +1,215 @@
+"""Truncated univariate Taylor arithmetic: the program's one derivative engine.
+
+Pushing x0 + t v through a program in :class:`Jet` arithmetic gives its k-th
+directional derivative along v as k! c[k], exact up to rounding (Griewank &
+Walther, Evaluating Derivatives, SIAM 2008, ch. 13).  Model code is compiled
+a second time with this module in place of numpy.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from fractions import Fraction
+
+import numpy as np
+
+__all__ = ["Jet", "as_jet", "elementary", "exp", "log", "sqrt", "cosh", "sinh", "tanh",
+           "sech", "psi"]
+
+
+class Jet:
+    """Truncated Taylor polynomial c[0] + c[1] t + ... + c[K] t^K, K = order.
+
+    The coefficients c[k] = f^(k)(0) / k! are arrays that broadcast, so base
+    points in c[0] can be pushed along a batch of directions in c[1] at once.
+    A jet with fewer coefficients than another is a polynomial of lower
+    degree (``Jet(c0)`` is a constant); results have the larger order.
+    """
+
+    __slots__ = ("c",)
+    __array_ufunc__ = None       # numpy operands defer to the jet's operators
+
+    def __init__(self, *c):
+        self.c = c
+
+    @staticmethod
+    def variable(s, order: int = 2) -> Jet:
+        """The independent variable s + t, truncated at ``order``."""
+        s = np.asarray(s, float) + 0.0
+        return Jet(s, *[np.ones_like(s) if k == 1 else 0.0 for k in range(1, order + 1)])
+
+    order = property(lambda self: len(self.c) - 1)
+    # the value and the first and second derivatives in t
+    f = property(lambda self: self.c[0])
+    d = property(lambda self: self.c[1] if len(self.c) > 1 else 0.0)
+    dd = property(lambda self: 2.0 * self.c[2] if len(self.c) > 2 else 0.0)
+
+    def __add__(self, o) -> Jet:
+        if not isinstance(o, Jet):
+            return Jet(self.c[0] + o, *self.c[1:])
+        a, b = (self.c, o.c) if len(self.c) >= len(o.c) else (o.c, self.c)
+        return Jet(*[x + y for x, y in zip(a, b)], *a[len(b):])
+
+    __radd__ = __add__
+
+    def __neg__(self) -> Jet:
+        return Jet(*[-c for c in self.c])
+
+    def __sub__(self, o) -> Jet:
+        return self + (-o)
+
+    def __rsub__(self, o) -> Jet:
+        return (-self) + o
+
+    def __mul__(self, o) -> Jet:
+        if not isinstance(o, Jet):
+            return Jet(*[c * o for c in self.c])
+        a, b = self.c, o.c
+        out = []
+        for k in range(max(len(a), len(b))):
+            hi, lo = min(k, len(a) - 1), max(k - len(b) + 1, 0)
+            acc = a[hi] * b[k - hi]
+            for j in range(hi - 1, lo - 1, -1):
+                acc = acc + a[j] * b[k - j]
+            out.append(acc)
+        return Jet(*out)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o) -> Jet:
+        if not isinstance(o, Jet):
+            return Jet(*[c / o for c in self.c])
+        return self * _reciprocal(o)
+
+    def __rtruediv__(self, o) -> Jet:
+        return _reciprocal(self) * o
+
+    def __pow__(self, k: int) -> Jet:
+        if k < 0:
+            return 1.0 / self ** -k
+        out = self if k else Jet(np.ones_like(np.asarray(self.c[0], float)))
+        for _ in range(k - 1):
+            out = out * self
+        return out
+
+
+def as_jet(x) -> Jet:
+    """x itself if it is a Jet, else the constant jet of x."""
+    return x if isinstance(x, Jet) else Jet(np.asarray(x, float) + 0.0)
+
+
+def _compose(x: Jet, g) -> Jet:
+    """phi(x), from phi's Taylor coefficients g[k] = phi^(k)(x0) / k! at x0 = x.c[0].
+
+    The sum of g[j] (x - x0)^j; p[i] is the coefficient of t^(i + j) in
+    (x - x0)^j, whose lower ones vanish.
+    """
+    h = x.c[1:]
+    out = [g[0]] + [g[1] * hk for hk in h]
+    p = h
+    for j in range(2, len(g)):
+        p = [sum((p[i] * h[m - i] for i in range(1, m + 1)), p[0] * h[m])
+             for m in range(len(h) - j + 1)]
+        for i, pi in enumerate(p):
+            out[i + j] = out[i + j] + g[j] * pi
+    return Jet(*out)
+
+
+def elementary(taylor):
+    """The jet function of phi, where taylor(x0, K) lists phi's Taylor
+    coefficients at x0 up to order K."""
+    @functools.wraps(taylor)
+    def apply(x):
+        x = as_jet(x)
+        return _compose(x, taylor(x.c[0], x.order))
+    return apply
+
+
+@elementary
+def exp(x0, order):
+    e = np.exp(x0)
+    return [e / math.factorial(k) for k in range(order + 1)]
+
+
+@elementary
+def log(x0, order):
+    return [np.log(x0)] + [(-1) ** (k + 1) / (k * x0 ** k) for k in range(1, order + 1)]
+
+
+@elementary
+def sqrt(x0, order):
+    g = [np.sqrt(x0)]
+    for k in range(1, order + 1):           # binomial series of (x0 + h)^(1/2)
+        g.append(g[-1] * (1.5 - k) / (k * x0))
+    return g
+
+
+@elementary
+def cosh(x0, order):
+    pair = np.cosh(x0), np.sinh(x0)
+    return [pair[k % 2] / math.factorial(k) for k in range(order + 1)]
+
+
+@elementary
+def sinh(x0, order):
+    pair = np.sinh(x0), np.cosh(x0)
+    return [pair[k % 2] / math.factorial(k) for k in range(order + 1)]
+
+
+@elementary
+def tanh(x0, order):
+    t = [np.tanh(x0)]
+    for k in range(1, order + 1):           # tanh' = 1 - tanh^2
+        t.append(((1.0 if k == 1 else 0.0) - sum(t[i] * t[k - 1 - i] for i in range(k))) / k)
+    return t
+
+
+@elementary
+def sech(x0, order):
+    t = tanh.__wrapped__(x0, order)
+    s = [1.0 / np.cosh(x0)]
+    for k in range(1, order + 1):           # sech' = -sech tanh
+        s.append(-sum(s[i] * t[k - 1 - i] for i in range(k)) / k)
+    return s
+
+
+def _reciprocal(x: Jet) -> Jet:
+    r = 1.0 / x.c[0]
+    return _compose(x, [r * (-r) ** k for k in range(x.order + 1)])
+
+
+def _bernoulli_series(terms: int) -> np.ndarray:
+    """beta_n = B_n / n!, the Taylor coefficients of x / (e^x - 1) at 0, from
+    (sum_n x^n / (n + 1)!) (sum_n beta_n x^n) = 1 in exact rationals."""
+    beta = [Fraction(1)]
+    for n in range(1, terms):
+        beta.append(-sum(beta[n - j] / math.factorial(j + 1) for j in range(1, n + 1)))
+    return np.array([float(b) for b in beta])
+
+
+_BETA = _bernoulli_series(31)     # beta_30 (2 pi)^-30 C(30, 3) is below 1e-20
+
+
+@elementary
+def psi(x0, order):
+    """x / (exp(x) - 1), continued with psi(0) = 1.
+
+    For |x0| < 1 the Taylor coefficients come from the Bernoulli series
+    sum_n C(n, k) beta_n x0^(n - k), whose radius is 2 pi; elsewhere from
+    x / expm1(x) in jet arithmetic, which loses a factor 1/|expm1(x0)| per
+    order and so is kept away from 0.
+    """
+    small = np.abs(x0) < 1.0
+    series = quotient = [0.0] * (order + 1)
+    if small.any():
+        xs = np.where(small, x0, 0.0)[..., None]
+        powers = np.cumprod(np.concatenate(
+            [np.ones_like(xs), np.repeat(xs, _BETA.size - 1, axis=-1)], axis=-1), axis=-1)
+        series = [powers[..., :_BETA.size - k]
+                  @ (_BETA[k:] * [math.comb(n, k) for n in range(k, _BETA.size)])
+                  for k in range(order + 1)]
+    if not small.all():
+        t = Jet.variable(np.where(small, 1.0, x0), order)
+        quotient = (t / Jet(np.expm1(t.c[0]), *exp(t).c[1:])).c
+    return [np.where(small, s, q) for s, q in zip(series, quotient)]

@@ -156,8 +156,8 @@ def bt_eigenstructure(A: np.ndarray):
     if abs(s0) > 1e-6 * np.linalg.norm(p1):
         raise NotBTError(f"p0 A = p1 not solvable (s = {s0:.3e})")
 
-    # enforce p_i q_j = delta_ij exactly; the defect is at the finite-difference
-    # noise level of A but gets amplified by the norms of q1 and p0
+    # enforce p_i q_j = delta_ij exactly; the defect is at the rounding level
+    # of the bordered solves but gets amplified by the norms of q1 and p0
     gram = np.array([[p1 @ q1, p1 @ q0], [p0 @ q1, p0 @ q0]])
     p1, p0 = np.linalg.solve(gram, np.vstack([p1, p0]))
     return q0, q1, p1, p0

@@ -16,10 +16,15 @@ psi(x) = x/(exp(x)-1) continued with psi(0) = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
+
+from . import jet
+from .jet import Jet
 
 __all__ = [
     "ModelError",
@@ -30,8 +35,7 @@ __all__ = [
     "MultilinearOracle",
     "parse_model",
     "eval_rhs",
-    "central_difference",
-    "fd_jacobian",
+    "derivatives",
     "build_oracle",
     "bt_nf_text",
     "hh_text",
@@ -39,9 +43,6 @@ __all__ = [
     "HH_BT_STATE",
     "HH_BT_ALPHA",
 ]
-
-_EPS = float(np.finfo(float).eps)
-
 
 class ModelError(Exception):
     pass
@@ -247,7 +248,8 @@ class OdeModel:
     """Parsed n-dimensional vector field with two active parameters.
 
     Immutable after construction; ``rhs`` holds compiled code strings, one per
-    component, evaluated in a numpy namespace.
+    component, evaluated in a numpy namespace and, for derivatives, in the
+    Taylor-jet namespace of :mod:`bthom.jet`.
     """
 
     dim: int
@@ -256,13 +258,17 @@ class OdeModel:
     fixed_params: dict[str, float]
     name: str = "model"
     _component_fns: list = field(default_factory=list, repr=False)
+    _jet_fns: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        ns = {"np": np, "_psi": _psi, "_sech": _sech}
-        self._component_fns = [
-            eval(compile(f"lambda x, a: ({code}) + 0.0*x[..., 0]", f"<{self.name}:x{i+1}'>", "eval"), ns)
-            for i, code in enumerate(self.rhs)
-        ]
+        def compile_rhs(template, ns):
+            return [eval(compile("lambda x, a: " + template % code, f"<{self.name}:x{i+1}'>",
+                                 "eval"), ns) for i, code in enumerate(self.rhs)]
+
+        # values are broadcast to the batch shape here, jets in derivatives()
+        self._component_fns = compile_rhs("(%s) + 0.0*x[..., 0]",
+                                          {"np": np, "_psi": _psi, "_sech": _sech})
+        self._jet_fns = compile_rhs("%s", {"np": jet, "_psi": jet.psi, "_sech": jet.sech})
 
     def __call__(self, x, alpha):
         return eval_rhs(self, x, alpha)
@@ -363,108 +369,115 @@ def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# central differences and the multilinear derivative oracle
+# Taylor-jet derivatives and the multilinear derivative oracle
 # ---------------------------------------------------------------------------
 
-def central_difference(model: OdeModel, x, alpha, dirs, h, k: int = 1) -> np.ndarray:
-    """k-th central-difference quotient (k = 1, 2, 3) of f along joint directions.
+class _Variables(tuple):
+    """The jets of the state or parameter components, indexed as x[..., i] in model code."""
 
-    Approximates d^k/dt^k f(x + t dx, alpha + t dalpha) at t = 0 for each row
-    (dx, dalpha) of ``dirs`` (shape ``(m, n + 2)``), at the base point(s)
-    ``x`` (``(..., n)``) and ``alpha`` (``(..., 2)``).  ``h`` is the step,
-    a scalar or one per base point and direction (broadcast to ``(..., m)``).
-    All stencil points go to one batched :func:`eval_rhs` call.  Returns
-    shape ``(..., m, n)``.
+    def __getitem__(self, key):
+        return tuple.__getitem__(self, key[-1])
+
+
+@lru_cache(maxsize=None)
+def _polarization(d: int, order: int):
+    """Jet directions in R^d and the maps from their coefficients to tensors.
+
+    The directions are e_a + e_b + ... over every multiset {a, b, ...} of 1
+    to ``order`` indices, the unit vectors first.  The k-th derivative at a
+    sorted k-tuple mu is the polarization sum over the sub-multisets S of mu
+    of (-1)^(k - |S|) times the k-th coefficient along the direction of S.
+    Returns the directions and, for k = 2..order, the matrix of these weights
+    and the (d,)*k array of the row of each tensor entry.
+    """
+    tuples = [t for k in range(1, order + 1)
+              for t in itertools.combinations_with_replacement(range(d), k)]
+    column = {t: c for c, t in enumerate(tuples)}
+    maps = []
+    for k in range(2, order + 1):
+        rows = [t for t in tuples if len(t) == k]
+        W = np.zeros((len(rows), len(tuples)))
+        for r, mu in enumerate(rows):
+            for size in range(1, k + 1):
+                for sub in itertools.combinations(mu, size):
+                    W[r, column[sub]] += (-1) ** (k - size)
+        pos = [rows.index(tuple(sorted(i))) for i in itertools.product(range(d), repeat=k)]
+        maps.append((W, np.reshape(pos, (d,) * k)))
+    return np.array([np.bincount(t, minlength=d) for t in tuples], dtype=float), maps
+
+
+def derivatives(model: OdeModel, x, alpha, order: int = 1) -> list[np.ndarray]:
+    """Derivatives of f over the joint (x, alpha) space of d = n + 2 variables.
+
+    Returns [J, T2, T3][:order]: the Jacobian [f_x | f_alpha], shape
+    ``(..., n, d)``, and the symmetric second and third derivative tensors,
+    ``(..., n, d, d)`` and ``(..., n, d, d, d)``, at the base point(s) ``x``
+    (``(..., n)``) and ``alpha`` (``(..., 2)``).  All come from one batched
+    model evaluation on order-``order`` Taylor jets along the directions of
+    :func:`_polarization` (Griewank, Utke & Walther, Math. Comp. 69, 2000).
+    Each tensor is exact up to rounding relative to its largest entries: the
+    polarization subtracts directional coefficients, so a small mixed entry
+    next to large pure ones carries their rounding error.  Non-finite values
+    raise :class:`ModelEvalError` naming the component, as in :func:`eval_rhs`.
     """
     n = model.dim
     x = np.asarray(x, dtype=float)
     alpha = np.asarray(alpha, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
-    offsets = np.array({1: (1, -1), 2: (1, 0, -1), 3: (2, 1, -1, -2)}[k], dtype=float)
-    h_m = np.asarray(h, dtype=float) * np.ones(len(dirs))             # (..., m)
-    steps = (offsets[:, None] * h_m[..., None, :])[..., None] * dirs   # (..., p, m, n + 2)
-    F = eval_rhs(model, x[..., None, None, :] + steps[..., :n],
-                 alpha[..., None, None, :] + steps[..., n:])
-    F = np.moveaxis(F, -3, 0)
-    # a scalar step stays a scalar: numpy's array power may round
-    # differently from the scalar one
-    if np.ndim(h):
-        h = h_m[..., None]
-    if k == 1:
-        return (F[0] - F[1]) / (2 * h)
-    if k == 2:
-        return (F[0] - 2 * F[1] + F[2]) / (h * h)
-    return (F[0] - 2 * F[1] + 2 * F[2] - F[3]) / (2 * h ** 3)
-
-
-def fd_jacobian(model: OdeModel, x, alpha, hx, ha=None) -> np.ndarray:
-    """The Jacobian ``[f_x | f_alpha]`` (shape ``(..., n, n + 2)``) by central differences.
-
-    ``hx`` and ``ha`` are the state and parameter steps (``ha`` defaults to
-    ``hx``), scalars or one per base point.
-    """
-    n = model.dim
-    hx = np.asarray(hx, dtype=float)[..., None]
-    ha = hx if ha is None else np.asarray(ha, dtype=float)[..., None]
-    hx, ha = np.broadcast_arrays(hx, ha)
-    h = np.concatenate([np.repeat(hx, n, axis=-1), np.repeat(ha, 2, axis=-1)], axis=-1)
-    J = central_difference(model, x, alpha, np.eye(n + 2), h)
-    return np.ascontiguousarray(np.swapaxes(J, -1, -2))
+    dirs, maps = _polarization(n + 2, order)
+    variables = [_Variables(Jet(p[..., None, i], dirs[:, i + offset], *[0.0] * (order - 1))
+                            for i in range(p.shape[-1])) for p, offset in ((x, 0), (alpha, n))]
+    with np.errstate(all="ignore"):
+        cols = [jet.as_jet(fn(*variables)) for fn in model._jet_fns]
+    coeffs = np.zeros((n, order + 1) + np.broadcast_shapes(x.shape[:-1], alpha.shape[:-1])
+                      + (len(dirs),))
+    for i, col in enumerate(cols):
+        for k, c in enumerate(col.c):
+            coeffs[i, k] = c
+    finite = np.isfinite(coeffs).reshape(n, -1).all(axis=1)
+    if not finite.all():
+        raise ModelEvalError("non-finite value (domain error in expression)",
+                             component=int(np.argmin(finite)))
+    coeffs = np.moveaxis(coeffs, 0, -2)                  # (order + 1, ..., n, m)
+    return [coeffs[1][..., :n + 2]] + [(ck @ W.T)[..., pos]
+                                        for ck, (W, pos) in zip(coeffs[2:], maps)]
 
 
 @dataclass
 class MultilinearOracle:
-    """Directional finite-difference multilinear forms of f at a base point.
+    """Exact multilinear forms of f at a base point.
 
-    A and J1 are dense Jacobians; the higher forms B, C, A1, J2, B1, A2, J3
-    are evaluated on demand along probe vectors using central differences and
-    polarization identities, and are exactly symmetric by construction.
-    ``h`` rescales the default machine-epsilon based steps.
+    One batched order-3 jet call at construction gives the Jacobians A and
+    J1 and the symmetric second and third derivative tensors T2, T3 over the
+    joint (x, alpha) space; B, C, A1, J2, B1, A2 and J3 are contractions of
+    them.  T3 holds n (n + 2)^3 numbers, like MatCont's symbolic third
+    derivative tensor.
     """
 
     model: OdeModel
     x0: np.ndarray
     alpha0: np.ndarray
-    h: float = 1.0
     A: np.ndarray = field(init=False)
     J1: np.ndarray = field(init=False)
+    T2: np.ndarray = field(init=False, repr=False)
+    T3: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
         self.alpha0 = np.asarray(self.alpha0, dtype=float)
         n = self.model.dim
-        scale = 1.0 + np.linalg.norm(self.x0)
-        # the k-th difference quotient balances truncation and rounding error
-        # at a step of order eps^(1/(k+2))
-        self._step = {k: self.h * _EPS ** (1.0 / (k + 2)) * scale for k in (1, 2, 3)}
-        J = fd_jacobian(self.model, self.x0, self.alpha0, self._step[1])
-        self.A, self.J1 = J[:, :n].copy(), J[:, n:].copy()
+        J, self.T2, self.T3 = derivatives(self.model, self.x0, self.alpha0, 3)
+        self.A, self.J1 = J[:, :n], J[:, n:]
 
     def _form(self, *zs):
         """Symmetric bi- or trilinear form of f on joint (x, alpha) vectors.
 
-        The probes are taken in a canonical order, so the returned values are
-        bitwise independent of the slot order.
+        The probes are contracted in a canonical order, so the returned values
+        are bitwise independent of the slot order.
         """
-        n = self.model.dim
-        zs = sorted(zs, key=lambda z: z.tobytes())
-        norms = [math.hypot(np.linalg.norm(z[:n]), np.linalg.norm(z[n:])) for z in zs]
-        if 0.0 in norms:
-            return np.zeros(n)
-        e = [z / nrm for z, nrm in zip(zs, norms)]
-        if len(e) == 2:
-            d = central_difference(self.model, self.x0, self.alpha0,
-                                   [e[0] + e[1], e[0] - e[1]], self._step[2], 2)
-            val = 0.25 * (d[0] - d[1])
-        else:
-            e1, e2, e3 = e
-            d = central_difference(self.model, self.x0, self.alpha0,
-                                   [e1 + e2 + e3, e1 + e2, e1 + e3, e2 + e3, e1, e2, e3],
-                                   self._step[3], 3)
-            val = (d[0] - d[1] - d[2] - d[3] + d[4] + d[5] + d[6]) / 6.0
-        for nrm in norms:
-            val = val * nrm
-        return val
+        t = self.T2 if len(zs) == 2 else self.T3
+        for z in sorted(zs, key=lambda z: z.tobytes()):
+            t = t @ z
+        return t
 
     def _z(self, u=None, k=None):
         """The joint vector (u, k); a missing part is zero."""
@@ -494,21 +507,16 @@ class MultilinearOracle:
     def J3(self, k, l, m):
         return self._form(self._z(k=k), self._z(k=l), self._z(k=m))
 
-    def rhs(self, x, alpha):
-        return eval_rhs(self.model, x, alpha)
 
-
-def build_oracle(model: OdeModel, x0, alpha0, h: float = 1.0) -> MultilinearOracle:
+def build_oracle(model: OdeModel, x0, alpha0) -> MultilinearOracle:
     """Build the derivative oracle at an approximate equilibrium (x0, alpha0)."""
-    if h <= 0:
-        raise ValueError("step scale h must be positive")
     x0 = np.asarray(x0, dtype=float)
     alpha0 = np.asarray(alpha0, dtype=float)
     res = np.linalg.norm(eval_rhs(model, x0, alpha0))
     if res > 1e-6 * (1.0 + np.linalg.norm(x0)):
         raise NonEquilibriumError(
             f"||f(x0, alpha0)|| = {res:.3e} exceeds equilibrium tolerance")
-    return MultilinearOracle(model=model, x0=x0, alpha0=alpha0, h=h)
+    return MultilinearOracle(model=model, x0=x0, alpha0=alpha0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .jet import Jet
 from .linalg import BTData, bordered_solve_full, bt_eigenstructure
-from .model import MultilinearOracle, OdeModel, build_oracle, eval_rhs, fd_jacobian
+from .model import MultilinearOracle, OdeModel, build_oracle, derivatives, eval_rhs
 
 __all__ = [
     "Variant",
@@ -52,19 +53,15 @@ _H_NAMES = ["H0010", "H0001", "H2000", "H1100", "H0200", "H1010", "H1001",
 _K_NAMES = ["K10", "K01", "K02", "K11", "K03"]
 
 
-def _taylor(terms: dict, z, d: int | None = None):
+def _taylor(terms: dict, z):
     """Sum of c * prod_k z_k^m_k / m_k! over the (name, c) pairs of terms.
 
     The exponents m_k are the digits of the name after its letter (H2100 is
-    w0^2 w1 / 2!).  With d given, the partial derivative in z_d instead.
+    w0^2 w1 / 2!).  The z_k may be Jets.
     """
     out = 0.0
     for name, c in terms.items():
         m = [int(ch) for ch in name[1:]]
-        if d is not None:
-            if m[d] == 0:
-                continue
-            m[d] -= 1
         mono = 1.0
         for zk, mk in zip(z, m):
             if mk:
@@ -116,16 +113,12 @@ class CmExpansion:
 
     def H_w(self, w0, w1, beta1, beta2) -> np.ndarray:
         """Jacobian of H with respect to (w0, w1), an n x 2 matrix."""
-        return np.stack([_taylor(self._H_terms, (w0, w1, beta1, beta2), d) for d in (0, 1)],
-                        axis=-1)
+        return np.stack([self.H_eval(Jet.variable(w0, 1), w1, beta1, beta2).d,
+                         self.H_eval(w0, Jet.variable(w1, 1), beta1, beta2).d], axis=-1)
 
     def K_eval(self, beta1, beta2) -> np.ndarray:
         """The parameter map K(beta) relative to alpha0."""
         return _taylor(self.K, (beta1, beta2))
-
-    def K_beta(self, beta1, beta2) -> np.ndarray:
-        """Jacobian of K with respect to (beta1, beta2), a 2 x 2 matrix."""
-        return np.stack([_taylor(self.K, (beta1, beta2), d) for d in (0, 1)], axis=-1)
 
     def theta_eval(self, w0: float, beta2: float) -> float:
         return 1.0 + self.theta1000 * w0 + self.theta0001 * beta2
@@ -362,8 +355,8 @@ def _compute_cm(oracle: MultilinearOracle, eig: BTData, variant: Variant) -> CmE
     solve_res = max_s[0] / (1.0 + np.linalg.norm(A, "fro") + max_y[0])
     if solve_res > 1e-5:
         warnings.warn("center-manifold systems satisfied only to "
-                      f"{solve_res:.2e}; finite-difference derivatives may "
-                      "be too inaccurate", stacklevel=3)
+                      f"{solve_res:.2e}; the BT point may be close to "
+                      "degenerate or the equilibrium inexact", stacklevel=3)
 
     eig_filled = BTData(x0=eig.x0, alpha0=eig.alpha0, q0=q0, q1=q1, p1=p1, p0=p0,
                         a=a, b=b)
@@ -396,8 +389,7 @@ def homological_residual(expansion: CmExpansion, oracle: MultilinearOracle,
     return f * theta - expansion.H_w(w0, w1, b1, b2) @ G
 
 
-def analyze_bt(model: OdeModel, x0, alpha0, variant: Variant | str = Variant.ORBITAL,
-               h: float = 1.0, polish: bool = True):
+def analyze_bt(model: OdeModel, x0, alpha0, variant: Variant | str = Variant.ORBITAL):
     """Full pipeline at an approximate BT point: oracle, eigendata, expansion.
 
     Newton-polishes the equilibrium (least squares, since the Jacobian is
@@ -409,20 +401,17 @@ def analyze_bt(model: OdeModel, x0, alpha0, variant: Variant | str = Variant.ORB
     x0 = np.asarray(x0, float).copy()
     alpha0 = np.asarray(alpha0, float)
 
-    if polish:
-        n = model.dim
-        hstep = 1e-6 * (1.0 + np.linalg.norm(x0))
-        for _ in range(10):
-            f = eval_rhs(model, x0, alpha0)
-            if np.linalg.norm(f) < 1e-13 * (1.0 + np.linalg.norm(x0)):
-                break
-            J = fd_jacobian(model, x0, alpha0, hstep)[:, :n]
-            step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-            if np.linalg.norm(eval_rhs(model, x0 + step, alpha0)) >= np.linalg.norm(f):
-                break
-            x0 = x0 + step
+    for _ in range(10):
+        f = eval_rhs(model, x0, alpha0)
+        if np.linalg.norm(f) < 1e-13 * (1.0 + np.linalg.norm(x0)):
+            break
+        J = derivatives(model, x0, alpha0)[0][:, :model.dim]
+        step, *_ = np.linalg.lstsq(J, -f, rcond=None)
+        if np.linalg.norm(eval_rhs(model, x0 + step, alpha0)) >= np.linalg.norm(f):
+            break
+        x0 = x0 + step
 
-    oracle = build_oracle(model, x0, alpha0, h=h)
+    oracle = build_oracle(model, x0, alpha0)
     q0, q1, p1, p0 = bt_eigenstructure(oracle.A)
     eig = BTData(x0=x0, alpha0=alpha0, q0=q0, q1=q1, p1=p1, p0=p0)
     expansion = _compute_cm(oracle, eig, variant)

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .asymptotics import PhaseChoice
+from .jet import Jet
 from .nfcoeffs import CmExpansion, Variant
 
 __all__ = [
@@ -153,25 +154,27 @@ def _tau(expansion: CmExpansion, method, eps: float) -> float:
     return asy.smooth_tau(eps, _smooth_coeffs(expansion), order=m.order)
 
 
-def _w_beta(expansion: CmExpansion, method, eps: float, eta):
-    """Blow-up: (w0, w1, beta1, beta2) at normal-form time eta."""
+def _beta(expansion: CmExpansion, method, eps):
+    """Blow-up: (beta1, beta2) at eps, which may be a Jet."""
     a, b = expansion.a, expansion.b
     tau = _tau(expansion, method, eps)
     if expansion.variant is Variant.ORBITAL:
-        s = (a / b) * eps * np.asarray(eta, float)
-        u, v = planar_series(expansion, method, eps, s)
+        return -4.0 * a ** 3 / b ** 4 * eps ** 4, (a / b) * tau * eps ** 2
+    return -4.0 / a * eps ** 4, (b / a) * tau * eps ** 2
+
+
+def _w_beta(expansion: CmExpansion, method, eps: float, eta):
+    """Blow-up: (w0, w1, beta1, beta2) at normal-form time eta."""
+    a, b = expansion.a, expansion.b
+    if expansion.variant is Variant.ORBITAL:
+        u, v = planar_series(expansion, method, eps, (a / b) * eps * np.asarray(eta, float))
         w0 = (a / b ** 2) * u * eps ** 2
         w1 = (a ** 2 / b ** 3) * v * eps ** 3
-        beta1 = -4.0 * a ** 3 / b ** 4 * eps ** 4
-        beta2 = (a / b) * tau * eps ** 2
     else:
-        s = eps * np.asarray(eta, float)
-        u, v = planar_series(expansion, method, eps, s)
+        u, v = planar_series(expansion, method, eps, eps * np.asarray(eta, float))
         w0 = u / a * eps ** 2
         w1 = v / a * eps ** 3
-        beta1 = -4.0 / a * eps ** 4
-        beta2 = (b / a) * tau * eps ** 2
-    return w0, w1, beta1, beta2
+    return (w0, w1) + _beta(expansion, method, eps)
 
 
 def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
@@ -180,10 +183,9 @@ def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
     return expansion.x0 + expansion.H_eval(w0[..., None], w1[..., None], b1, b2)
 
 
-def lift_parameters(expansion: CmExpansion, method, eps: float) -> np.ndarray:
-    """Parameter predictor alpha(eps) = alpha0 + K(beta(eps))."""
-    _, _, b1, b2 = _w_beta(expansion, method, eps, 0.0)
-    return expansion.alpha0 + expansion.K_eval(b1, b2)
+def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
+    """Parameter predictor alpha(eps) = alpha0 + K(beta(eps)); eps may be a Jet."""
+    return expansion.alpha0 + expansion.K_eval(*_beta(expansion, method, eps))
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +265,14 @@ def saddle_point(expansion: CmExpansion, method, eps: float) -> np.ndarray:
     """Saddle approximation: the eta -> infinity limit of the lifted orbit."""
     m = _as_method(method)
     a, b = expansion.a, expansion.b
-    tau = _tau(expansion, method, eps)
     if expansion.variant is Variant.ORBITAL:
         w0_inf = 2.0 * (a / b ** 2) * eps ** 2
-        beta1 = -4.0 * a ** 3 / b ** 4 * eps ** 4
-        beta2 = (a / b) * tau * eps ** 2
     else:
         a1, d = expansion.a1, expansion.d
         w0_inf = (1.0 / a) * eps ** 2 * (2.0 - (2.0 * (5.0 * a1 * b + 7.0 * d)
                                                 / (7.0 * a ** 2)) * eps ** 2
                                          * (1.0 if m.order >= 2 else 0.0))
-        beta1 = -4.0 / a * eps ** 4
-        beta2 = (b / a) * tau * eps ** 2
-    return expansion.x0 + expansion.H_eval(w0_inf, 0.0, beta1, beta2)
+    return expansion.x0 + expansion.H_eval(w0_inf, 0.0, *_beta(expansion, method, eps))
 
 
 def amplitude_to_eps(A0: float, a: float, b: float, variant: Variant | str) -> float:
@@ -304,20 +301,7 @@ def ttol_to_T(k: float, eps: float, A0: float, expansion: CmExpansion,
 
 def d_alpha_d_eps(expansion: CmExpansion, method, eps: float) -> np.ndarray:
     """Derivative of the parameter predictor along the branch."""
-    m = _as_method(method)
-    a, b = expansion.a, expansion.b
-    tau0 = 10.0 / 7.0
-    tau2 = 288.0 / 2401.0 if m.order >= 2 else 0.0
-    if expansion.variant is Variant.ORBITAL:
-        b1p = -16.0 * a ** 3 / b ** 4 * eps ** 3
-        b2p = (a / b) * (2.0 * tau0 + 4.0 * tau2 * eps ** 2) * eps
-    else:
-        cs = _smooth_coeffs(expansion)
-        tau2 = (asy.smooth_tau(1.0, cs) - tau0) if m.order >= 2 else 0.0
-        b1p = -16.0 / a * eps ** 3
-        b2p = (b / a) * (2.0 * tau0 + 4.0 * tau2 * eps ** 2) * eps
-    _, _, beta1, beta2 = _w_beta(expansion, method, eps, 0.0)
-    return expansion.K_beta(beta1, beta2) @ np.array([b1p, b2p])
+    return lift_parameters(expansion, method, Jet.variable(eps, 1)).d
 
 
 def tangent_orientation(tangent_alpha1: float, expansion: CmExpansion, method,

@@ -1,10 +1,12 @@
-"""Test-only exact multilinear forms for polynomial models, via sympy.
+"""Test-only exact multilinear forms of model vector fields, via sympy.
 
-The production oracle uses finite differences; these symbolic derivatives are
-the independent reference it is checked against.
+The production oracle propagates Taylor jets; these symbolic derivatives,
+evaluated with 30 significant digits, are the independent reference it is
+checked against.
 """
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import sympy as sp
@@ -14,23 +16,30 @@ class SymbolicForms:
     """Exact multilinear forms of a sympy vector field at a base point."""
 
     def __init__(self, exprs, xvars, pvars, x0, alpha0):
-        self.exprs = [sp.expand(e) for e in exprs]
+        self.exprs = list(exprs)
         self.xvars = list(xvars)
         self.pvars = list(pvars)
-        self.subs = {**{v: float(c) for v, c in zip(xvars, x0)},
-                     **{v: float(c) for v, c in zip(pvars, alpha0)}}
+        # the binary base point, exactly
+        self.subs = {**{v: sp.Rational(float(c)) for v, c in zip(xvars, x0)},
+                     **{v: sp.Rational(float(c)) for v, c in zip(pvars, alpha0)}}
         self.n = len(exprs)
+        self._derivatives = {}
+
+    def _derivative(self, i, variables):
+        """d^k f_i / d(variables), evaluated to 30 digits; mixed partials commute."""
+        key = (i, tuple(sorted(variables, key=str)))
+        if key not in self._derivatives:
+            d = sp.diff(self.exprs[i], *key[1])
+            self._derivatives[key] = float(d.evalf(30, subs=self.subs))
+        return self._derivatives[key]
 
     def _tensor(self, slot_vars):
         """d^k f / d(slot_1)...d(slot_k) contracted later with probe vectors."""
         shape = (self.n,) + tuple(len(v) for v in slot_vars)
         out = np.zeros(shape)
-        for i, expr in enumerate(self.exprs):
+        for i in range(self.n):
             for idx in itertools.product(*(range(len(v)) for v in slot_vars)):
-                d = expr
-                for vs, j in zip(slot_vars, idx):
-                    d = sp.diff(d, vs[j])
-                out[(i,) + idx] = float(d.subs(self.subs))
+                out[(i,) + idx] = self._derivative(i, [vs[j] for vs, j in zip(slot_vars, idx)])
         return out
 
     def _contract(self, slot_vars, probes):
@@ -99,3 +108,26 @@ def random_cubic_model(rng, dim=2):
     text = "\n".join(lines) + "\n"
     forms = SymbolicForms(exprs, xvars, pvars, np.zeros(dim), np.zeros(2))
     return text, forms
+
+
+class _Components:
+    """Stands in for the state or parameter array in model code: x[..., i]."""
+
+    def __init__(self, symbols):
+        self.symbols = symbols
+
+    def __getitem__(self, key):
+        return self.symbols[key[-1]]
+
+
+def model_forms(model, x0, alpha0):
+    """SymbolicForms of a parsed model at (x0, alpha0), read from its code strings."""
+    xvars = sp.symbols(f"x1:{model.dim + 1}")
+    pvars = sp.symbols("p1 p2")
+    ns = {"np": SimpleNamespace(exp=sp.exp, log=sp.log, cosh=sp.cosh, sinh=sp.sinh,
+                                tanh=sp.tanh, sqrt=sp.sqrt),
+          "_psi": lambda z: z / (sp.exp(z) - 1),
+          "_sech": lambda z: 1 / sp.cosh(z),
+          "x": _Components(xvars), "a": _Components(pvars)}
+    exprs = [eval(code, ns) for code in model.rhs]
+    return SymbolicForms(exprs, xvars, pvars, x0, alpha0)

@@ -13,9 +13,10 @@ import scipy.optimize as so
 
 import bthom.asymptotics as asy
 from bthom.asymptotics import (GAMMA1_L2, GAMMA3_L2, In_closed,
-                               In_closed_parts, Jet, PhaseChoice, jtanh,
+                               In_closed_parts, PhaseChoice,
                                lp_solve_quadratic, rp_tau)
 from bthom.corrector import bvp_residual, convergence_study, correct_predictor
+from bthom.jet import Jet, tanh
 from bthom.model import builtin_model
 from bthom.nfcoeffs import analyze_bt, homological_residual
 from bthom.predictor import (Method, lift_orbit, lift_parameters, make_mesh,
@@ -106,7 +107,7 @@ def test_criterion_05_planar_residual_order():
 
     def lp_res(eps):
         xi = asy.xi_of_s(s, eps, PhaseChoice.VZERO)
-        zeta = jtanh(xi)
+        zeta = tanh(xi)
         _, u_polys, _ = asy._lp_float_series(PhaseChoice.VZERO)
         u = Jet(np.zeros(161))
         for i in range(4):

@@ -11,7 +11,8 @@ from bthom.corrector import (ConvergenceRecord, NoConvergenceError, build_bvp,
                              correct_predictor, correct_with_retries,
                              newton_correct, pack_unknowns, unpack_orbit,
                              _min_norm_step, _unpack, _ricatti)
-from bthom.model import eval_rhs
+from bthom.model import HH_BT_ALPHA, HH_BT_STATE, eval_rhs
+from bthom.nfcoeffs import analyze_bt
 from bthom.predictor import Method, make_mesh, sample_predictor
 
 LP = Method("lp")
@@ -23,6 +24,11 @@ def planar_setup(bt_nf_orbital):
     mesh = make_mesh(20, 4)
     pred = sample_predictor(ex, LP, 0.1, mesh, k=1e-5)
     return ex, mesh, pred
+
+
+@pytest.fixture(scope="module")
+def hh_smooth(hh_model):
+    return analyze_bt(hh_model, HH_BT_STATE, HH_BT_ALPHA, "smooth")[1]
 
 
 @pytest.fixture(params=["bt_nf-20x4", "hh-40x4"])
@@ -119,7 +125,7 @@ class TestNewton:
     def test_sparse_step_matches_dense_min_norm(self, predictor_system):
         bvp, z = predictor_system
         J, r = bvp_jacobian(bvp, z), bvp_residual(bvp, z)
-        step, t = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        step, t, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
         dense = scipy.linalg.lstsq(J.toarray(), -r, lapack_driver="gelsd")[0]
         assert np.linalg.norm(step - dense) <= 1e-7 * np.linalg.norm(dense)
         assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-14)
@@ -160,6 +166,15 @@ class TestNewton:
         monkeypatch.setattr("bthom.corrector.bvp_residual", fail_on_trial_step)
         with pytest.raises(TypeError, match="forced"):
             newton_correct(bvp, z)
+
+    def test_hh_reaches_residual_floor(self, hh_model, hh_orbital):
+        mesh = make_mesh(40, 4)
+        pred = sample_predictor(hh_orbital[1], LP, 0.1, mesh, k=1e-5)
+        bvp = build_bvp(hh_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        z0 = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                           eps0=pred.eps0, eps1=pred.eps1)
+        z, _ = newton_correct(bvp, z0, tol=1e-13)
+        assert np.linalg.norm(bvp_residual(bvp, z)) <= 1e-13 * (1 + np.max(np.abs(z0)))
 
     def test_phase_and_riccati_hold_at_corrected_solution(self, bt_nf_model,
                                                           bt_nf_orbital):
@@ -230,6 +245,13 @@ class TestAutoEps:
         assert calls == [0.1, 0.05, 0.025]
         assert pred.eps == 0.025
 
+    def test_model_error_halves_eps(self, hh_model, hh_smooth):
+        # at eps = 0.1 the predicted saddle leaves the domain of the HH rates
+        pred, bvp, z, iters = correct_with_retries(hh_model, hh_smooth, LP,
+                                                   make_mesh(40, 4))
+        assert pred.eps < 0.1
+        assert np.linalg.norm(bvp_residual(bvp, z)) <= 1e-10 * (1 + np.max(np.abs(z)))
+
     def test_gives_up_after_max_tries(self, bt_nf_model, bt_nf_orbital,
                                       monkeypatch):
         _, ex = bt_nf_orbital
@@ -257,3 +279,10 @@ class TestStudy:
         row = recs[0].csv_row()
         assert row.startswith("bt_nf,lp,orbital,0,")
         assert len(row.split(",")) == len(ConvergenceRecord.CSV_HEADER.split(","))
+
+    def test_model_error_is_recorded_as_nan(self, hh_model, hh_smooth):
+        amplitude = 6 * 0.1 ** 2 / abs(hh_smooth.a)       # eps = 0.1
+        (rec,) = convergence_study(hh_model, hh_smooth, [LP], [3], [amplitude],
+                                   mesh=make_mesh(40, 4))
+        assert rec.eps == pytest.approx(0.1)
+        assert not rec.converged and np.isnan(rec.delta)

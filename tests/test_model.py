@@ -5,10 +5,14 @@ from hypothesis import strategies as st
 
 from bthom.model import (HH_BT_ALPHA, HH_BT_STATE, ModelEvalError,
                          NonEquilibriumError, ParseError, build_oracle,
-                         builtin_model, eval_rhs, fd_jacobian, parse_model)
-from exact_forms import random_cubic_model
+                         builtin_model, derivatives, eval_rhs, parse_model)
+from exact_forms import model_forms, random_cubic_model
 
 TOP_NF = "dim 2\npar b1 b2\nx1' = x2\nx2' = b1 + b2*x2 + x1^2 + x1*x2\n"
+EVERY_FUNCTION = ("dim 2\npar a b\n"
+                  "x1' = exp(x1)*log(2 + x2 + a) + sqrt(3 + x1*b) - x2^-2\n"
+                  "x2' = cosh(x1)*sinh(x2) + tanh(a - x1)*sech(x2 + b)"
+                  " + psi(x1 + x2) + psi(x2 - 4*b)\n")
 
 
 class TestParsing:
@@ -110,6 +114,36 @@ class TestOracle:
                 scale = 1.0 + np.linalg.norm(want)
                 assert np.linalg.norm(got - want) <= 1e-6 * scale
 
+    def test_hh_forms_match_symbolic(self, hh_model):
+        oracle = build_oracle(hh_model, HH_BT_STATE, HH_BT_ALPHA)
+        sym = model_forms(hh_model, HH_BT_STATE, HH_BT_ALPHA)
+        rng = np.random.default_rng(3)
+        u, v, w = rng.standard_normal((3, 4))
+        k, m2, q = rng.standard_normal((3, 2))
+        pairs = [
+            (oracle.A, sym.A()),
+            (oracle.J1, sym.J1()),
+            (oracle.B(u, v), sym.B(u, v)),
+            (oracle.A1(u, k), sym.A1(u, k)),
+            (oracle.J2(k, m2), sym.J2(k, m2)),
+            (oracle.C(u, v, w), sym.C(u, v, w)),
+            (oracle.B1(u, v, k), sym.B1(u, v, k)),
+            (oracle.A2(u, k, m2), sym.A2(u, k, m2)),
+            (oracle.J3(k, m2, q), sym.J3(k, m2, q)),
+        ]
+        for got, want in pairs:
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_derivatives_of_every_function_match_symbolic(self):
+        # psi's arguments fall on both sides of its series radius
+        model = parse_model(EVERY_FUNCTION)
+        x0, alpha0 = np.array([0.3, -0.2]), np.array([0.1, 0.4])
+        sym = model_forms(model, x0, alpha0)
+        joint = sym.xvars + sym.pvars
+        for k, got in enumerate(derivatives(model, x0, alpha0, 3), start=1):
+            want = sym._tensor([joint] * k)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_symmetry_is_exact(self, hh_orbital):
         oracle, _ = hh_orbital
         rng = np.random.default_rng(5)
@@ -118,15 +152,6 @@ class TestOracle:
         cuvw = oracle.C(u, v, w)
         for perm in ((u, w, v), (v, u, w), (w, v, u)):
             assert np.allclose(oracle.C(*perm), cuvw, rtol=0, atol=1e-12)
-
-    def test_hh_b_richardson_step_halving(self, hh_model):
-        o1 = build_oracle(hh_model, HH_BT_STATE, HH_BT_ALPHA, h=1.0)
-        o2 = build_oracle(hh_model, HH_BT_STATE, HH_BT_ALPHA, h=0.5)
-        rng = np.random.default_rng(11)
-        for _ in range(10):
-            u, v = rng.standard_normal((2, 4))
-            b1, b2 = o1.B(u, v), o2.B(u, v)
-            assert np.linalg.norm(b1 - b2) <= 1e-5 * (1.0 + np.linalg.norm(b2))
 
     @settings(max_examples=25, deadline=None)
     @given(c=st.floats(min_value=-8.0, max_value=8.0,
@@ -143,17 +168,12 @@ class TestOracle:
         rng = np.random.default_rng(7)
         xs = HH_BT_STATE + 0.05 * rng.standard_normal((6, 4))
         alphas = HH_BT_ALPHA + 0.05 * rng.standard_normal((6, 2))
-        hx, ha = 1e-6 * (1.0 + np.abs(xs).sum(axis=1)), np.full(6, 3e-6)
-        batched = fd_jacobian(hh_model, xs, alphas, hx, ha)
+        batched = derivatives(hh_model, xs, alphas)[0]
         assert batched.shape == (6, 4, 6)
         for i in range(6):
-            single = fd_jacobian(hh_model, xs[i], alphas[i], hx[i], ha[i])
+            single = derivatives(hh_model, xs[i], alphas[i])[0]
             assert np.array_equal(batched[i], single)
 
     def test_non_equilibrium_base_rejected(self, bt_nf_model):
         with pytest.raises(NonEquilibriumError):
             build_oracle(bt_nf_model, [0.5, 0.5], [0.0, 0.0])
-
-    def test_nonpositive_step_rejected(self, bt_nf_model):
-        with pytest.raises(ValueError):
-            build_oracle(bt_nf_model, [0, 0], [0, 0], h=0.0)

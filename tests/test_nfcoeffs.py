@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import NF_COEFFS, fit_slope
-from bthom.model import builtin_model, parse_model
+from bthom.model import HH_BT_ALPHA, HH_BT_STATE, builtin_model, parse_model
 from bthom.nfcoeffs import (NonGenericBTError, Variant, analyze_bt,
                             critical_coefficients, homological_residual)
 
@@ -57,6 +57,11 @@ class TestOrbitalChain:
     def test_bordered_consistency_certificate(self, nf_orbital, hh_orbital):
         assert nf_orbital[1].max_solve_residual <= 1e-8
         assert hh_orbital[1].max_solve_residual <= 1e-8
+
+    @pytest.mark.parametrize("variant", ["orbital", "smooth", "hyper"])
+    def test_hh_certificate_at_rounding_level(self, hh_model, variant):
+        _, ex = analyze_bt(hh_model, HH_BT_STATE, HH_BT_ALPHA, variant)
+        assert ex.max_solve_residual <= 1e-13
 
 
 class TestSmoothChain:
