@@ -10,7 +10,8 @@ than equations (the homoclinic branch), so corrections are minimum-norm
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -63,6 +64,136 @@ def _at_gauss(M: np.ndarray, orbit: np.ndarray, ntst: int, ncol: int) -> np.ndar
     return (M.T @ orbit[nodes]).reshape(ntst * ncol, -1)
 
 
+@dataclass(frozen=True, eq=False)
+class _MeshPattern:
+    """Everything a structural key (ntst, ncol, n, nU, dependency mask) fixes.
+
+    The collocation tables, the phase quadrature weights, and the structure of
+    the Jacobian: each value block of `bvp_jacobian` owns a named run of slots
+    (``slots``: name -> (slice, block shape)); ``pos`` maps every slot to its
+    CSC position, slots summed into one entry sharing it and structurally zero
+    slots (identity and Kronecker off-diagonals, derivatives the model's code
+    strings exclude) mapping to ``nnz``.  ``order`` is the fill-reducing column
+    elimination order of the bordered matrix [J; e_border^T].  Arrays are
+    read-only: the cache hands them to every caller.
+    """
+
+    P: np.ndarray                # local basis values at Gauss points
+    D: np.ndarray                # local basis derivatives (unit interval)
+    Pg: np.ndarray               # P's column for each Gauss point, (G, ncol+1)
+    Dg: np.ndarray               # likewise for D
+    w: np.ndarray                # phase-integral weights at the Gauss points
+    slots: dict
+    pos: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+    border: int                  # canonical border column: the first active parameter
+    order: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def blocks(self, flat: np.ndarray) -> dict:
+        """Views of the slot vector ``flat``, one per value block, in block shape."""
+        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self.slots.items()}
+
+
+def _dependency_mask(model: OdeModel) -> tuple:
+    """Which of the n + 2 joint variables (x, alpha) each component's code names."""
+    return tuple(tuple(f"{v}[..., {j}]" in code for v, m in (("x", model.dim), ("a", 2))
+                       for j in range(m)) for code in model.rhs)
+
+
+@lru_cache(maxsize=8)
+def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, mask: tuple) -> _MeshPattern:
+    """Build the :class:`_MeshPattern` of one structural key (cached)."""
+    mesh = make_mesh(ntst, ncol)
+    P, D = _lagrange_matrices(ncol, mesh.gauss)
+    nS, G = n - nU, ntst * ncol
+    c = np.arange(G) % ncol
+    nodes = (np.arange(G) - c)[:, None] + np.arange(ncol + 1)      # (G, ncol+1)
+    n_orb = (G + 1) * n
+    i_s0 = n_orb
+    i_al = i_s0 + n
+    i_yu = i_al + 2
+    i_ys = i_yu + nS * nU
+    i_e0 = i_ys + nS * nU
+    N = i_e0 + 2
+    r_sa = G * n
+    r_bu = r_sa + n + 1
+    r_bs = r_bu + nS
+    r_ru = r_bs + nU
+    r_rs = r_ru + nS * nU
+    r_d = r_rs + nS * nU
+    dep = np.array(mask, dtype=bool)
+    ar = np.arange
+
+    def kron_keep(k, m):
+        """Structure of kron(L, I_m) - kron(I_k, R): entries with a == c or b == d."""
+        eye_k, eye_m = np.eye(k, dtype=bool), np.eye(m, dtype=bool)
+        return (eye_k[:, None, :, None] | eye_m[None, :, None, :]).reshape(k * m, k * m)
+
+    # name: (rows, cols, kept), broadcast to the block's shape
+    layout = {
+        # Gauss point g = j*ncol + c couples to the ncol + 1 nodes of its interval
+        "coll": (ar(G * n).reshape(G, 1, n, 1), (nodes * n)[:, :, None, None] + ar(n),
+                 np.eye(n, dtype=bool) | dep[:, :n]),
+        "coll_alpha": (ar(G * n).reshape(G, n, 1), i_al + ar(2), dep[:, n:]),
+        "saddle": (r_sa + ar(n)[:, None], i_s0 + ar(n + 2), dep),
+        # the end node of one interval is the start node of the next, so phase
+        # contributions accumulate
+        "phase": (r_sa + n, (nodes * n)[:, :, None] + ar(n), True),
+        "bc_u_orbit": (r_bu + ar(nS)[:, None], ar(n), True),
+        "bc_u_s0": (r_bu + ar(nS)[:, None], i_s0 + ar(n), True),
+        "bc_u_y": (r_bu + ar(nS)[:, None], i_yu + ar(nS)[:, None] * nU + ar(nU), True),
+        "bc_s_orbit": (r_bs + ar(nU)[:, None], n_orb - n + ar(n), True),
+        "bc_s_s0": (r_bs + ar(nU)[:, None], i_s0 + ar(n), True),
+        "bc_s_y": (r_bs + ar(nU)[:, None], i_ys + ar(nU)[:, None] * nS + ar(nS), True),
+        "ric_u_y": (r_ru + ar(nS * nU)[:, None], i_yu + ar(nS * nU), kron_keep(nS, nU)),
+        "ric_s_y": (r_rs + ar(nU * nS)[:, None], i_ys + ar(nU * nS), kron_keep(nU, nS)),
+        "ric_u_p": (r_ru + ar(nS * nU)[:, None], i_s0 + ar(n + 2), True),
+        "ric_s_p": (r_rs + ar(nU * nS)[:, None], i_s0 + ar(n + 2), True),
+        "dist_orbit": (r_d + ar(2)[:, None], np.array([[0], [n_orb - n]]) + ar(n), True),
+        "dist_s0": (r_d + ar(2)[:, None], i_s0 + ar(n), True),
+        "dist_eps": (r_d + ar(2), i_e0 + ar(2), True),
+    }
+    slots, rows, cols, kept, start = {}, [], [], [], 0
+    for name, parts in layout.items():
+        r, col, k = np.broadcast_arrays(*parts)
+        slots[name] = (slice(start, start + r.size), r.shape)
+        start += r.size
+        rows.append(r.ravel())
+        cols.append(col.ravel())
+        kept.append(k.ravel())
+    rows, cols, kept = map(np.concatenate, (rows, cols, kept))
+    # unique (col, row) pairs in CSC order; repeated slots share one position
+    entries, where = np.unique(cols[kept] * (N - 1) + rows[kept], return_inverse=True)
+    pos = np.full(rows.size, entries.size)
+    pos[kept] = where
+    indices = (entries % (N - 1)).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(entries // (N - 1), minlength=N))])
+
+    # MMD column order of [J; e_border^T], found by factoring the structure with
+    # fixed pseudo-random values: it depends on the structure alone, so it is
+    # the same whichever system first fills the cache.  Pivoting does not
+    # change it; preferring diagonal pivots keeps this factorization cheap.
+    b_indices = np.insert(indices, indptr[i_al + 1], N - 1)
+    b_indptr = indptr + (ar(N + 1) > i_al)
+    values = np.random.default_rng(0).uniform(1.0, 2.0, b_indices.size)
+    canonical = scipy.sparse.csc_matrix((values, b_indices, b_indptr), shape=(N, N))
+    perm_c = scipy.sparse.linalg.splu(canonical, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0.0).perm_c
+
+    arrays = dict(P=P, D=D, Pg=P.T[c], Dg=D.T[c], w=np.tile(mesh.gauss_weights, ntst) / ntst,
+                  pos=pos, indices=indices, indptr=indptr.astype(np.int32),
+                  order=np.argsort(perm_c))
+    for a in arrays.values():
+        a.flags.writeable = False
+    return _MeshPattern(slots=slots, shape=(N - 1, N), border=i_al, **arrays)
+
+
 @dataclass
 class HomBvp:
     """Discretized homoclinic defining system with frozen bases and reference."""
@@ -77,10 +208,17 @@ class HomBvp:
     QSperp: np.ndarray
     n_unstable: int
     n_stable: int
-    P: np.ndarray                # local basis values at Gauss points
-    D: np.ndarray                # local basis derivatives (unit interval)
     xt_gauss: np.ndarray         # reference orbit at collocation points
     xt_dot_gauss: np.ndarray     # its scaled-time derivative there
+    pattern: _MeshPattern = field(repr=False)
+
+    @property
+    def P(self) -> np.ndarray:
+        return self.pattern.P
+
+    @property
+    def D(self) -> np.ndarray:
+        return self.pattern.D
 
     @property
     def n(self) -> int:
@@ -116,13 +254,14 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
     if nS != n - nU:
         raise NoConvergenceError("eigenvalues too close to the imaginary axis "
                                  "to split stable/unstable subspaces")
-    P, D = _lagrange_matrices(mesh.ncol, mesh.gauss)
     ntst, ncol = mesh.ntst, mesh.ncol
+    pattern = _mesh_pattern(ntst, ncol, n, nU, _dependency_mask(model))
     return HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
                   QU=ZU[:, :nU], QUperp=ZU[:, nU:], QS=ZS[:, :nS],
                   QSperp=ZS[:, nS:], n_unstable=nU, n_stable=nS,
-                  P=P, D=D, xt_gauss=_at_gauss(P, x_tilde, ntst, ncol),
-                  xt_dot_gauss=_at_gauss(D, x_tilde, ntst, ncol) * ntst)
+                  xt_gauss=_at_gauss(pattern.P, x_tilde, ntst, ncol),
+                  xt_dot_gauss=_at_gauss(pattern.D, x_tilde, ntst, ncol) * ntst,
+                  pattern=pattern)
 
 
 def pack_unknowns(bvp: HomBvp, orbit, s0, alpha, YU=None, YS=None,
@@ -175,8 +314,7 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
 
     saddle = eval_rhs(model, s0, alpha)
 
-    w = np.tile(bvp.mesh.gauss_weights, ntst) / ntst
-    phase = float(np.sum(w[:, None] * bvp.xt_dot_gauss * (xg - bvp.xt_gauss)))
+    phase = float(np.sum(bvp.pattern.w[:, None] * bvp.xt_dot_gauss * (xg - bvp.xt_gauss)))
 
     PU = bvp.QUperp - bvp.QU @ YU.T      # n x nS, orthogonal to the unstable space
     PS = bvp.QSperp - bvp.QS @ YS.T      # n x nU, orthogonal to the stable space
@@ -197,76 +335,44 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
 
 
 def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
-    """Jacobian of `bvp_residual` at z as a sparse (N-1) x N CSC matrix."""
+    """Jacobian of `bvp_residual` at z as a sparse (N-1) x N CSC matrix.
+
+    Only the values are computed here: the structure comes from the system's
+    cached :class:`_MeshPattern`, whose read-only index arrays J shares.
+    """
     orbit, s0, alpha, YU, YS, eps0, eps1 = _unpack(bvp, z)
-    model, mesh = bvp.model, bvp.mesh
-    ntst, ncol, n = mesh.ntst, mesh.ncol, bvp.n
+    model, pat, ntst, n = bvp.model, bvp.pattern, bvp.mesh.ntst, bvp.n
     nU, nS = bvp.n_unstable, bvp.n_stable
-    sizes = bvp.sizes()
-    m_total = sizes["total"]
-    n_orb = sizes["orbit"]
-    i_s0 = n_orb
-    i_al = n_orb + n
-    i_yu = i_al + 2
-    i_ys = i_yu + nS * nU
-    i_e0 = m_total - 2
-
-    # (row, col, value) triples; the CSC conversion sums repeated entries
-    rows, cols, vals = [], [], []
-
-    def put(r, c, v):
-        for out, a in zip((rows, cols, vals), np.broadcast_arrays(r, c, v)):
-            out.append(a.ravel())
-
-    def block(r0, c0, M):
-        M = np.atleast_2d(M)
-        put(r0 + np.arange(M.shape[0])[:, None], c0 + np.arange(M.shape[1]), M)
+    flat = np.empty(pat.pos.size)
+    v = pat.blocks(flat)
 
     # [f_x | f_alpha] at all collocation points
-    xg = _at_gauss(bvp.P, orbit, ntst, ncol)
+    xg = _at_gauss(bvp.P, orbit, ntst, bvp.mesh.ncol)
     fxa = derivatives(model, xg, alpha)[0]
-
-    # collocation rows: Gauss point g = j*ncol + c couples to the ncol + 1
-    # orbit nodes j*ncol + k of its interval
-    G = ntst * ncol
-    c = np.arange(G) % ncol
-    nodes = (np.arange(G) - c)[:, None] + np.arange(ncol + 1)               # (G, ncol+1)
-    Dg, Pg = bvp.D.T[c], bvp.P.T[c]                                       # (G, ncol+1)
     inv2T = 1.0 / (2.0 * bvp.T)
-    blocks = ((Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
-              - Pg[:, :, None, None] * fxa[:, None, :, :n])               # (G, ncol+1, n, n)
-    put(np.arange(G * n).reshape(G, 1, n, 1), (nodes * n)[:, :, None, None] + np.arange(n),
-        blocks)
-    block(0, i_al, -fxa[:, :, n:].reshape(G * n, 2))
-    row = G * n
+    v["coll"][...] = ((pat.Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
+                      - pat.Pg[:, :, None, None] * fxa[:, None, :, :n])
+    v["coll_alpha"][...] = -fxa[:, :, n:]
 
     # saddle rows; T2 is the second derivative tensor at the saddle
     A_sa, T2 = derivatives(model, s0, alpha, 2)
-    block(row, i_s0, A_sa)
-    row += n
+    v["saddle"][...] = A_sa
 
-    # phase row; the end node of one interval is the start node of the next,
-    # so contributions accumulate
-    w = np.tile(bvp.mesh.gauss_weights, ntst) / ntst
-    coeff = w[:, None] * bvp.xt_dot_gauss
-    put(row, (nodes * n)[:, :, None] + np.arange(n), Pg[:, :, None] * coeff[:, None, :])
-    row += 1
+    # phase row
+    coeff = pat.w[:, None] * bvp.xt_dot_gauss
+    v["phase"][...] = pat.Pg[:, :, None] * coeff[:, None, :]
 
     # boundary condition rows
     PU = bvp.QUperp - bvp.QU @ YU.T
     PS = bvp.QSperp - bvp.QS @ YS.T
     du0 = orbit[0] - s0
     du1 = orbit[-1] - s0
-    block(row, 0, PU.T)
-    block(row, i_s0, -PU.T)
-    r = np.arange(nS)[:, None]
-    put(row + r, i_yu + r * nU + np.arange(nU), -(du0 @ bvp.QU))
-    row += nS
-    block(row, n_orb - n, PS.T)
-    block(row, i_s0, -PS.T)
-    r = np.arange(nU)[:, None]
-    put(row + r, i_ys + r * nS + np.arange(nS), -(du1 @ bvp.QS))
-    row += nU
+    v["bc_u_orbit"][...] = PU.T
+    v["bc_u_s0"][...] = -PU.T
+    v["bc_u_y"][...] = -(du0 @ bvp.QU)
+    v["bc_s_orbit"][...] = PS.T
+    v["bc_s_s0"][...] = -PS.T
+    v["bc_s_y"][...] = -(du1 @ bvp.QS)
 
     # Riccati rows
     A = A_sa[:, :n]
@@ -280,54 +386,87 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
         right = t[:k, :k] + t[:k, k:] @ Y
         return np.kron(left, np.eye(Y.shape[1])) - np.kron(np.eye(Y.shape[0]), right.T)
 
-    block(row, i_yu, ric_y_block(tU, YU, nU))
-    block(row + nS * nU, i_ys, ric_y_block(tS, YS, nS))
+    v["ric_u_y"][...] = ric_y_block(tU, YU, nU)
+    v["ric_s_y"][...] = ric_y_block(tS, YS, nS)
 
     # dA/dp for each (s0, alpha) coordinate p
     dA = np.moveaxis(T2[:, :n, :], -1, 0)
     dtU = QUfull.T @ dA @ QUfull
     dtS = QSfull.T @ dA @ QSfull
     # the Riccati residual is linear homogeneous in the T-blocks
-    block(row, i_s0, _ricatti(dtU, YU, nU).reshape(n + 2, -1).T)
-    block(row + nS * nU, i_s0, _ricatti(dtS, YS, nS).reshape(n + 2, -1).T)
-    row += 2 * nS * nU
+    v["ric_u_p"][...] = _ricatti(dtU, YU, nU).reshape(n + 2, -1).T
+    v["ric_s_p"][...] = _ricatti(dtS, YS, nS).reshape(n + 2, -1).T
 
     # distance rows
-    r0 = np.linalg.norm(du0)
-    r1 = np.linalg.norm(du1)
-    block(row, 0, du0 / r0)
-    block(row, i_s0, -du0 / r0)
-    put(row, i_e0, -1.0)
-    block(row + 1, n_orb - n, du1 / r1)
-    block(row + 1, i_s0, -du1 / r1)
-    put(row + 1, i_e0 + 1, -1.0)
-    J = scipy.sparse.csc_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m_total - 1, m_total))
-    # drop stored zeros (vanishing f_x entries, off-diagonals of the identity
-    # and Kronecker blocks): with them, the LU of HH at 160x4 filled in 10x more
-    J.eliminate_zeros()
-    return J
+    du = np.stack([du0 / np.linalg.norm(du0), du1 / np.linalg.norm(du1)])
+    v["dist_orbit"][...] = du
+    v["dist_s0"][...] = -du
+    v["dist_eps"][...] = -1.0
+    data = np.bincount(pat.pos, weights=flat, minlength=pat.nnz + 1)[:-1]
+    return scipy.sparse.csc_matrix((data, pat.indices, pat.indptr), shape=pat.shape)
 
 
-def _min_norm_step(J, r: np.ndarray, c: np.ndarray):
+def _unit_bordered_solver(J, k: int, order: np.ndarray):
+    """Solver of [J; e_k^T] x = b, or None when splu finds that matrix singular.
+
+    The columns are factored in ``order`` as given (NATURAL), so no ordering is
+    computed per step.
+    """
+    m = J.shape[0]
+    Jq = J[:, order]
+    q = int(np.flatnonzero(order == k)[0])
+    at = Jq.indptr[q + 1]            # the border row is last: append to column q
+    indptr = Jq.indptr.copy()
+    indptr[q + 1:] += 1
+    B = scipy.sparse.csc_matrix((np.insert(Jq.data, at, 1.0), np.insert(Jq.indices, at, m),
+                                 indptr), shape=(m + 1, m + 1))
+    try:
+        lu = scipy.sparse.linalg.splu(B, permc_spec="NATURAL")
+    except RuntimeError:             # splu: the factor is exactly singular
+        return None
+
+    def solve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b)
+        return x
+
+    return solve
+
+
+def _min_norm_step(J, r: np.ndarray, border, order: np.ndarray | None = None):
     """Minimum-norm solution of J step = -r, the unit kernel vector t of J, and
     the same solve for other right-hand sides.
 
     One sparse LU of the bordered square matrix [J; c^T], with c not orthogonal
     to the kernel of J, gives v (J v = -r, c.v = 0) and w (J w = 0, c.w = 1).
     The minimum-norm step is v without its component along t = w/|w|.
+
+    ``border`` is c: a column index k for the unit row e_k, factored with the
+    columns in the elimination ``order`` (required then), or a dense row,
+    factored under a fresh MMD ordering.  When [J; e_k^T] is singular, or |t_k| = 1/|w| underflows
+    (e_k is numerically orthogonal to the kernel), the normalized all-ones row
+    is used instead.
     """
-    B = scipy.sparse.vstack([J, scipy.sparse.csc_matrix(c[None, :])], format="csc")
-    lu = scipy.sparse.linalg.splu(B, permc_spec="MMD_AT_PLUS_A")
-    rhs = np.zeros((c.size, 2))
+    N = J.shape[1]
+    rhs = np.zeros((N, 2))
     rhs[:-1, 0] = -r
     rhs[-1, 1] = 1.0
-    v, w = lu.solve(rhs).T
+    bsolve = None
+    if np.ndim(border) == 0:
+        bsolve = _unit_bordered_solver(J, int(border), order)
+        if bsolve is not None:
+            v, w = bsolve(rhs).T
+            if not 0.0 < 1.0 / np.linalg.norm(w) < np.inf:
+                bsolve = None
+        border = np.full(N, N ** -0.5)          # the fallback row
+    if bsolve is None:
+        B = scipy.sparse.vstack([J, scipy.sparse.csc_matrix(border[None, :])], format="csc")
+        bsolve = scipy.sparse.linalg.splu(B, permc_spec="MMD_AT_PLUS_A").solve
+        v, w = bsolve(rhs).T
     t = w / np.linalg.norm(w)
 
     def solve(rhs):
-        x = lu.solve(np.append(-rhs, 0.0))
+        x = bsolve(np.append(-rhs, 0.0))
         return x - (t @ x) * t
 
     return v - (t @ v) * t, t, solve
@@ -337,9 +476,13 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
                    max_iter: int = 20) -> tuple[np.ndarray, int]:
     """Moore-Penrose (minimum-norm) Newton onto the solution manifold.
 
-    Each step borders the Jacobian with the previous iteration's kernel
-    vector (first: the normalized all-ones vector), as in the corrector of
-    Allgower & Georg, Introduction to Numerical Continuation Methods (2003).
+    Each step borders the Jacobian with a unit row e_k, as in the corrector of
+    Allgower & Georg, Introduction to Numerical Continuation Methods (2003):
+    any e_k not orthogonal to the kernel gives the same minimum-norm step.
+    The first step takes k = the first active parameter, later ones the
+    largest entry of the previous kernel vector; `_min_norm_step` falls back
+    to the all-ones row when e_k fails.  The column order of the factorization
+    is cached per mesh and model structure.
     The step is halved until the trial point passes the natural monotonicity
     test of Deuflhard, Newton Methods for Nonlinear Problems (2004): its
     simplified Newton correction, from the same factorization, is shorter
@@ -348,7 +491,7 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
     """
     z = np.array(z0, float)
     scale = 1.0 + float(np.max(np.abs(z0)))
-    t = np.full(z.size, z.size ** -0.5)
+    k, order = bvp.pattern.border, bvp.pattern.order
     r = bvp_residual(bvp, z)
     for it in range(1, max_iter + 1):
         rn = np.linalg.norm(r)
@@ -358,12 +501,13 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
             return z, it - 1
         J = bvp_jacobian(bvp, z)
         try:
-            step, t, solve = _min_norm_step(J, r, t)
+            step, t, solve = _min_norm_step(J, r, k, order)
         except RuntimeError as exc:      # splu: the factor is exactly singular
             raise NoConvergenceError(
                 f"singular bordered Jacobian at iteration {it}: {exc}") from exc
         if not np.all(np.isfinite(step)):
             raise NoConvergenceError(f"non-finite Newton step at iteration {it}")
+        k = int(np.argmax(np.abs(t)))
         step_norm = np.linalg.norm(step)
         damp = 1.0
         for _ in range(6):

@@ -10,10 +10,11 @@ from bthom.corrector import (ConvergenceRecord, NoConvergenceError, build_bvp,
                              bvp_jacobian, bvp_residual, convergence_study,
                              correct_predictor, correct_with_retries,
                              newton_correct, pack_unknowns, unpack_orbit,
-                             _min_norm_step, _unpack, _ricatti)
-from bthom.model import HH_BT_ALPHA, HH_BT_STATE, eval_rhs
+                             _at_gauss, _mesh_pattern, _min_norm_step, _unpack,
+                             _ricatti)
+from bthom.model import HH_BT_ALPHA, HH_BT_STATE, derivatives, eval_rhs
 from bthom.nfcoeffs import analyze_bt
-from bthom.predictor import Method, make_mesh, sample_predictor
+from bthom.predictor import Method, amplitude_to_eps, make_mesh, sample_predictor
 
 LP = Method("lp")
 
@@ -42,6 +43,147 @@ def predictor_system(request, bt_nf_model, planar_setup, hh_model, hh_orbital):
     bvp = build_bvp(model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
     return bvp, pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
                               eps0=pred.eps0, eps1=pred.eps1)
+
+
+@pytest.fixture(scope="module", params=["hh-40x4", "hh-160x4", "bt_nf-40x7"])
+def benchmark_system(request, hh_model, hh_orbital, hh_smooth, bt_nf_model, bt_nf_orbital):
+    """(bvp, z) of an LP predictor at amplitude 1e-2 on a benchmark workload's mesh."""
+    model, ex, ntst, ncol = {"hh-40x4": (hh_model, hh_orbital[1], 40, 4),
+                             "hh-160x4": (hh_model, hh_smooth, 160, 4),
+                             "bt_nf-40x7": (bt_nf_model, bt_nf_orbital[1], 40, 7)}[request.param]
+    eps = amplitude_to_eps(1e-2, ex.a, ex.b, ex.variant)
+    pred = sample_predictor(ex, LP, eps, make_mesh(ntst, ncol), k=eps * 1e-4)
+    bvp = build_bvp(model, pred.mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+    return bvp, pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                              eps0=pred.eps0, eps1=pred.eps1)
+
+
+def _coo_jacobian(bvp, z):
+    """Reference assembly of `bvp_jacobian`: (row, col, value) triples for every
+    block, summed and sorted by the COO -> CSC conversion, stored zeros dropped."""
+    orbit, s0, alpha, YU, YS, eps0, eps1 = _unpack(bvp, z)
+    model, mesh = bvp.model, bvp.mesh
+    ntst, ncol, n = mesh.ntst, mesh.ncol, bvp.n
+    nU, nS = bvp.n_unstable, bvp.n_stable
+    m_total, n_orb = bvp.sizes()["total"], bvp.sizes()["orbit"]
+    i_s0, i_al = n_orb, n_orb + n
+    i_yu = i_al + 2
+    i_ys = i_yu + nS * nU
+    i_e0 = m_total - 2
+    rows, cols, vals = [], [], []
+
+    def put(r, c, v):
+        for out, a in zip((rows, cols, vals), np.broadcast_arrays(r, c, v)):
+            out.append(a.ravel())
+
+    def block(r0, c0, M):
+        M = np.atleast_2d(M)
+        put(r0 + np.arange(M.shape[0])[:, None], c0 + np.arange(M.shape[1]), M)
+
+    xg = _at_gauss(bvp.P, orbit, ntst, ncol)
+    fxa = derivatives(model, xg, alpha)[0]
+    G = ntst * ncol
+    c = np.arange(G) % ncol
+    nodes = (np.arange(G) - c)[:, None] + np.arange(ncol + 1)
+    Dg, Pg = bvp.D.T[c], bvp.P.T[c]
+    inv2T = 1.0 / (2.0 * bvp.T)
+    blocks = ((Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
+              - Pg[:, :, None, None] * fxa[:, None, :, :n])
+    put(np.arange(G * n).reshape(G, 1, n, 1), (nodes * n)[:, :, None, None] + np.arange(n),
+        blocks)
+    block(0, i_al, -fxa[:, :, n:].reshape(G * n, 2))
+    row = G * n
+    A_sa, T2 = derivatives(model, s0, alpha, 2)
+    block(row, i_s0, A_sa)
+    row += n
+    w = np.tile(mesh.gauss_weights, ntst) / ntst
+    coeff = w[:, None] * bvp.xt_dot_gauss
+    put(row, (nodes * n)[:, :, None] + np.arange(n), Pg[:, :, None] * coeff[:, None, :])
+    row += 1
+    PU = bvp.QUperp - bvp.QU @ YU.T
+    PS = bvp.QSperp - bvp.QS @ YS.T
+    du0, du1 = orbit[0] - s0, orbit[-1] - s0
+    block(row, 0, PU.T)
+    block(row, i_s0, -PU.T)
+    r = np.arange(nS)[:, None]
+    put(row + r, i_yu + r * nU + np.arange(nU), -(du0 @ bvp.QU))
+    row += nS
+    block(row, n_orb - n, PS.T)
+    block(row, i_s0, -PS.T)
+    r = np.arange(nU)[:, None]
+    put(row + r, i_ys + r * nS + np.arange(nS), -(du1 @ bvp.QS))
+    row += nU
+    QUfull = np.hstack([bvp.QU, bvp.QUperp])
+    QSfull = np.hstack([bvp.QS, bvp.QSperp])
+    tU = QUfull.T @ A_sa[:, :n] @ QUfull
+    tS = QSfull.T @ A_sa[:, :n] @ QSfull
+
+    def ric_y_block(t, Y, k):
+        left = t[k:, k:] - Y @ t[:k, k:]
+        right = t[:k, :k] + t[:k, k:] @ Y
+        return np.kron(left, np.eye(Y.shape[1])) - np.kron(np.eye(Y.shape[0]), right.T)
+
+    block(row, i_yu, ric_y_block(tU, YU, nU))
+    block(row + nS * nU, i_ys, ric_y_block(tS, YS, nS))
+    dA = np.moveaxis(T2[:, :n, :], -1, 0)
+    block(row, i_s0, _ricatti(QUfull.T @ dA @ QUfull, YU, nU).reshape(n + 2, -1).T)
+    block(row + nS * nU, i_s0, _ricatti(QSfull.T @ dA @ QSfull, YS, nS).reshape(n + 2, -1).T)
+    row += 2 * nS * nU
+    r0, r1 = np.linalg.norm(du0), np.linalg.norm(du1)
+    block(row, 0, du0 / r0)
+    block(row, i_s0, -du0 / r0)
+    put(row, i_e0, -1.0)
+    block(row + 1, n_orb - n, du1 / r1)
+    block(row + 1, i_s0, -du1 / r1)
+    put(row + 1, i_e0 + 1, -1.0)
+    J = scipy.sparse.csc_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m_total - 1, m_total))
+    J.eliminate_zeros()
+    return J
+
+
+class TestJacobianPattern:
+    def test_values_equal_the_coo_assembly(self, benchmark_system):
+        bvp, z = benchmark_system
+        J = bvp_jacobian(bvp, z)
+        assert J.format == "csc" and J.has_canonical_format
+        assert np.array_equal(J.toarray(), _coo_jacobian(bvp, z).toarray())
+
+    def test_no_entry_the_code_strings_exclude(self, benchmark_system):
+        bvp, z = benchmark_system
+        n, G = bvp.n, bvp.mesh.ntst * bvp.mesh.ncol
+        n_orb = bvp.sizes()["orbit"]
+        names = [f"x[..., {j}]" for j in range(n)] + [f"a[..., {j}]" for j in range(2)]
+        named = np.array([[v in code for v in names] for code in bvp.model.rhs])
+        assert not named.all()             # the check below has entries to exclude
+        J = bvp_jacobian(bvp, z).tocoo()
+        rows, cols = J.row, J.col
+        # collocation rows against orbit columns (the identity keeps its diagonal)
+        # and alpha columns, saddle rows against (s0, alpha) columns
+        coll = (rows < G * n) & (cols < n_orb)
+        i, j = rows[coll] % n, cols[coll] % n
+        assert np.all((i == j) | named[i, j])
+        coll_alpha = (rows < G * n) & (cols >= n_orb + n) & (cols < n_orb + n + 2)
+        assert np.all(named[rows[coll_alpha] % n, n + cols[coll_alpha] - n_orb - n])
+        saddle = (rows >= G * n) & (rows < G * n + n) & (cols >= n_orb) & (cols < n_orb + n + 2)
+        assert np.all(named[rows[saddle] - G * n, cols[saddle] - n_orb])
+
+    def test_models_on_one_mesh_have_their_own_pattern(self, hh_model, hh_orbital,
+                                                       bt_nf_model, bt_nf_orbital):
+        mesh = make_mesh(24, 4)
+        bvps = []
+        for model, ex in ((hh_model, hh_orbital[1]), (bt_nf_model, bt_nf_orbital[1])):
+            pred = sample_predictor(ex, LP, 0.05, mesh, k=5e-6)
+            bvps.append(build_bvp(model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha))
+        assert bvps[0].pattern is not bvps[1].pattern
+        assert bvps[0].pattern.shape != bvps[1].pattern.shape
+
+    def test_cached_arrays_are_read_only(self, benchmark_system):
+        bvp, z = benchmark_system
+        J = bvp_jacobian(bvp, z)
+        with pytest.raises(ValueError):
+            J.indices[0] = 1
 
 
 class TestResidual:
@@ -131,6 +273,58 @@ class TestNewton:
         assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-14)
         assert np.linalg.norm(J @ t) <= 1e-8 * scipy.sparse.linalg.norm(J, 1)
         assert abs(t @ step) <= 1e-10 * np.linalg.norm(step)
+
+    def test_unit_border_step_matches_ones_border(self, benchmark_system):
+        bvp, z = benchmark_system
+        J, r = bvp_jacobian(bvp, z), bvp_residual(bvp, z)
+        ref, t_ref, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        order = bvp.pattern.order
+        for k in (bvp.pattern.border, bvp.pattern.border + 1,
+                  int(np.argmax(np.abs(t_ref))), z.size - 1):
+            step, t, _ = _min_norm_step(J, r, k, order)
+            assert np.linalg.norm(step - ref) <= 1e-9 * np.linalg.norm(ref)
+            assert abs(abs(t @ t_ref) - 1.0) <= 1e-12
+
+    def test_unit_border_orthogonal_to_kernel_falls_back(self, predictor_system):
+        # with its first column zeroed, J's kernel is e_0, so every other unit
+        # border makes the bordered matrix singular
+        bvp, z = predictor_system
+        J, r = bvp_jacobian(bvp, z).tolil(), bvp_residual(bvp, z)
+        J[:, 0] = 0.0
+        J = J.tocsc()
+        ones = np.full(z.size, z.size ** -0.5)
+        step, t, solve = _min_norm_step(J, r, bvp.pattern.border, bvp.pattern.order)
+        ref, t_ref, solve_ref = _min_norm_step(J, r, ones)
+        assert np.array_equal(step, ref) and np.array_equal(t, t_ref)
+        assert np.array_equal(solve(r), solve_ref(r))
+        assert abs(t[0]) == pytest.approx(1.0, abs=1e-14)
+        dense = scipy.linalg.lstsq(J.toarray(), -r, lapack_driver="gelsd")[0]
+        assert np.linalg.norm(step - dense) <= 1e-7 * np.linalg.norm(dense)
+
+    def test_underflowing_unit_border_falls_back(self, predictor_system):
+        # scaling column k by 1e300 leaves t_k ~ 1e-300 |t|: w = t / t_k overflows
+        bvp, z = predictor_system
+        k = bvp.pattern.border
+        scale = np.ones(z.size)
+        scale[k] = 1e300
+        J = (bvp_jacobian(bvp, z) @ scipy.sparse.diags(scale)).tocsc()
+        r = bvp_residual(bvp, z)
+        with np.errstate(over="ignore"):
+            step, t, _ = _min_norm_step(J, r, k, bvp.pattern.order)
+        ref, t_ref, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        assert np.array_equal(step, ref) and np.array_equal(t, t_ref)
+
+    def test_cold_and_warm_cache_give_identical_corrections(self, hh_model, hh_orbital):
+        mesh = make_mesh(40, 4)
+        preds = [sample_predictor(hh_orbital[1], LP, eps, mesh, k=eps * 1e-4)
+                 for eps in (0.1, 0.05)]
+        _mesh_pattern.cache_clear()
+        _, z_cold, it_cold = correct_predictor(hh_model, preds[0], tol=1e-12)
+        _mesh_pattern.cache_clear()
+        correct_predictor(hh_model, preds[1], tol=1e-12)    # another op fills the cache
+        _, z_warm, it_warm = correct_predictor(hh_model, preds[0], tol=1e-12)
+        assert it_cold == it_warm >= 1
+        assert np.array_equal(z_cold, z_warm)
 
     def test_singular_bordered_jacobian_is_typed(self, bt_nf_model, planar_setup,
                                                  monkeypatch):
