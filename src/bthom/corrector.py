@@ -211,6 +211,9 @@ class HomBvp:
     xt_gauss: np.ndarray         # reference orbit at collocation points
     xt_dot_gauss: np.ndarray     # its scaled-time derivative there
     pattern: _MeshPattern = field(repr=False)
+    # (bytes of (s0, alpha), read-only [J, T2][:order]) of the last saddle
+    # guess whose derivatives were asked for; see `_saddle_derivatives`
+    _saddle: tuple = field(init=False, default=(b"", ()), repr=False)
 
     @property
     def P(self) -> np.ndarray:
@@ -242,11 +245,37 @@ class HomBvp:
         }
 
 
+def _hold(s0: np.ndarray, alpha: np.ndarray, jets: list) -> tuple:
+    """The saddle holder entry of (s0, alpha): its key and the read-only jets."""
+    for a in jets:
+        a.flags.writeable = False
+    return np.concatenate([s0, alpha]).tobytes(), jets
+
+
+def _saddle_derivatives(bvp: HomBvp, s0: np.ndarray, alpha: np.ndarray,
+                        order: int) -> list[np.ndarray]:
+    """``derivatives(bvp.model, s0, alpha, order)``, served from the system's
+    one-entry holder when it already holds that point to at least that order.
+
+    Lower orders are the leading entries of a higher-order call, bitwise.
+    """
+    key, jets = bvp._saddle
+    if key != np.concatenate([s0, alpha]).tobytes() or len(jets) < order:
+        bvp._saddle = _hold(s0, alpha, derivatives(bvp.model, s0, alpha, order))
+    return bvp._saddle[1][:order]
+
+
 def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
               s0: np.ndarray, alpha: np.ndarray) -> HomBvp:
-    """Freeze eigenspace bases at (s0, alpha) and precompute collocation data."""
+    """Freeze eigenspace bases at (s0, alpha) and precompute collocation data.
+
+    The saddle derivatives are taken to second order here, so that the
+    residual and Jacobian of the first Newton step reuse them.
+    """
     n = model.dim
-    A = derivatives(model, s0, alpha)[0][:, :n]
+    s0, alpha = np.asarray(s0, float), np.asarray(alpha, float)
+    jets = derivatives(model, s0, alpha, 2)
+    A = jets[0][:, :n]
     TU, ZU, nU = scipy.linalg.schur(A, output="real", sort="rhp")
     if nU == 0 or nU == n:
         raise NoConvergenceError(f"saddle has {nU} unstable directions; need 1..{n-1}")
@@ -256,12 +285,14 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
                                  "to split stable/unstable subspaces")
     ntst, ncol = mesh.ntst, mesh.ncol
     pattern = _mesh_pattern(ntst, ncol, n, nU, _dependency_mask(model))
-    return HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
-                  QU=ZU[:, :nU], QUperp=ZU[:, nU:], QS=ZS[:, :nS],
-                  QSperp=ZS[:, nS:], n_unstable=nU, n_stable=nS,
-                  xt_gauss=_at_gauss(pattern.P, x_tilde, ntst, ncol),
-                  xt_dot_gauss=_at_gauss(pattern.D, x_tilde, ntst, ncol) * ntst,
-                  pattern=pattern)
+    bvp = HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
+                 QU=ZU[:, :nU], QUperp=ZU[:, nU:], QS=ZS[:, :nS],
+                 QSperp=ZS[:, nS:], n_unstable=nU, n_stable=nS,
+                 xt_gauss=_at_gauss(pattern.P, x_tilde, ntst, ncol),
+                 xt_dot_gauss=_at_gauss(pattern.D, x_tilde, ntst, ncol) * ntst,
+                 pattern=pattern)
+    bvp._saddle = _hold(s0, alpha, jets)
+    return bvp
 
 
 def pack_unknowns(bvp: HomBvp, orbit, s0, alpha, YU=None, YS=None,
@@ -321,7 +352,7 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
     bc_left = PU.T @ (orbit[0] - s0)
     bc_right = PS.T @ (orbit[-1] - s0)
 
-    A = derivatives(model, s0, alpha)[0][:, :bvp.n]
+    A = _saddle_derivatives(bvp, s0, alpha, 1)[0][:, :bvp.n]
     QUfull = np.hstack([bvp.QU, bvp.QUperp])
     QSfull = np.hstack([bvp.QS, bvp.QSperp])
     ric_u = _ricatti(QUfull.T @ A @ QUfull, YU, bvp.n_unstable)
@@ -355,7 +386,7 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     v["coll_alpha"][...] = -fxa[:, :, n:]
 
     # saddle rows; T2 is the second derivative tensor at the saddle
-    A_sa, T2 = derivatives(model, s0, alpha, 2)
+    A_sa, T2 = _saddle_derivatives(bvp, s0, alpha, 2)
     v["saddle"][...] = A_sa
 
     # phase row
@@ -476,29 +507,67 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
                    max_iter: int = 20) -> tuple[np.ndarray, int]:
     """Moore-Penrose (minimum-norm) Newton onto the solution manifold.
 
-    Each step borders the Jacobian with a unit row e_k, as in the corrector of
-    Allgower & Georg, Introduction to Numerical Continuation Methods (2003):
-    any e_k not orthogonal to the kernel gives the same minimum-norm step.
-    The first step takes k = the first active parameter, later ones the
-    largest entry of the previous kernel vector; `_min_norm_step` falls back
-    to the all-ones row when e_k fails.  The column order of the factorization
-    is cached per mesh and model structure.
+    Each full step borders a fresh Jacobian with a unit row e_k, as in the
+    corrector of Allgower & Georg, Introduction to Numerical Continuation
+    Methods (2003): any e_k not orthogonal to the kernel gives the same
+    minimum-norm step.  The first step takes k = the first active parameter,
+    later ones the largest entry of the previous kernel vector;
+    `_min_norm_step` falls back to the all-ones row when e_k fails.  The
+    column order of the factorization is cached per mesh and model structure.
     The step is halved until the trial point passes the natural monotonicity
     test of Deuflhard, Newton Methods for Nonlinear Problems (2004): its
     simplified Newton correction, from the same factorization, is shorter
     than the step.  Unlike the residual norm, that test does not depend on
-    how the equations are scaled.
+    how the equations are scaled.  It is also halved where the model fails
+    at the trial point or the residual there diverges.
+
+    Simplified steps (Deuflhard §2.1; the chord corrector of Allgower &
+    Georg, ch. 3) reuse the factorization: after an undamped full step whose
+    simplified correction is shorter than a quarter of the step, that
+    correction is the next step, and so on while each correction is shorter
+    than a quarter of the one before.  A simplified step that fails this
+    test without meeting the stopping test, or where the model fails or the
+    residual diverges, is discarded, and the next step is a full one from a
+    fresh Jacobian at the current point.  The stopping test is
+    ``|r| <= tol (1 + max|z0|)`` throughout.
+
+    Returns the corrected unknowns and the number of steps, full and
+    simplified.  ``max_iter`` bounds that number: simplified steps converge
+    linearly, but no correction of the acceptance-test convergence grids or
+    of the benchmark workloads takes more than 7 steps.  A residual whose
+    largest entry is too large for its norm to be formed has diverged, a
+    :class:`NoConvergenceError`.
     """
     z = np.array(z0, float)
-    scale = 1.0 + float(np.max(np.abs(z0)))
+    limit = tol * (1.0 + float(np.max(np.abs(z0))))
+    huge = np.sqrt(np.finfo(float).max / (z.size - 1))   # |r| may overflow past it
+
+    def residual_or_none(z_new):
+        """r(z_new), or None where the model fails or r has diverged."""
+        try:
+            r_new = bvp_residual(bvp, z_new)
+        except ModelError:
+            return None
+        return r_new if np.max(np.abs(r_new)) < huge else None
+
     k, order = bvp.pattern.border, bvp.pattern.order
     r = bvp_residual(bvp, z)
+    if not np.max(np.abs(r)) < huge:
+        raise NoConvergenceError("residual diverged")
+    simplified = False
     for it in range(1, max_iter + 1):
         rn = np.linalg.norm(r)
-        if not np.isfinite(rn):
-            raise NoConvergenceError("residual became non-finite")
-        if rn <= tol * scale:
+        if rn <= limit:
             return z, it - 1
+        if simplified:                   # the held factorization's correction bar
+            z_new = z + bar
+            r_new = residual_or_none(z_new)
+            if r_new is not None:
+                bar_new = solve(r_new)
+                if (np.linalg.norm(bar_new) < 0.25 * np.linalg.norm(bar)
+                        or np.linalg.norm(r_new) <= limit):
+                    z, r, bar = z_new, r_new, bar_new
+                    continue
         J = bvp_jacobian(bvp, z)
         try:
             step, t, solve = _min_norm_step(J, r, k, order)
@@ -512,18 +581,18 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
         damp = 1.0
         for _ in range(6):
             z_new = z + damp * step
-            try:
-                r_new = bvp_residual(bvp, z_new)
-            except ModelError:
-                r_new = None
-            if r_new is not None and np.linalg.norm(solve(r_new)) < step_norm:
-                break
+            r_new = residual_or_none(z_new)
+            if r_new is not None:
+                bar = solve(r_new)       # the simplified correction at z_new
+                if np.linalg.norm(bar) < step_norm:
+                    break
             damp *= 0.5
         else:
             raise NoConvergenceError(f"no descent after damping (residual {rn:.3e})")
         z, r = z_new, r_new
+        simplified = damp == 1.0 and np.linalg.norm(bar) < 0.25 * step_norm
     rn = np.linalg.norm(r)
-    if rn <= tol * scale:
+    if rn <= limit:
         return z, max_iter
     raise NoConvergenceError(f"Newton stalled at residual {rn:.3e}")
 
@@ -573,6 +642,9 @@ def correct_with_retries(model: OdeModel, expansion: CmExpansion, method,
 
 @dataclass
 class ConvergenceRecord:
+    """One cell of a convergence study.  ``iterations`` counts the Newton
+    steps, full and simplified (see :func:`newton_correct`)."""
+
     model: str
     method: str
     variant: str

@@ -191,6 +191,17 @@ def _bernoulli_series(terms: int) -> np.ndarray:
 _BETA = _bernoulli_series(31)     # beta_30 (2 pi)^-30 C(30, 3) is below 1e-20
 
 
+@functools.cache
+def _psi_series(order: int) -> np.ndarray:
+    """The (31, order + 1) matrix M with M[j, k] = C(j + k, k) beta_(j + k), zero
+    past beta_30: the powers x0^j times M list psi's Taylor coefficients at x0."""
+    M = np.zeros((_BETA.size, order + 1))
+    for k in range(order + 1):
+        M[:_BETA.size - k, k] = _BETA[k:] * [math.comb(n, k) for n in range(k, _BETA.size)]
+    M.flags.writeable = False
+    return M
+
+
 @elementary
 def psi(x0, order):
     """x / (exp(x) - 1), continued with psi(0) = 1.
@@ -204,11 +215,7 @@ def psi(x0, order):
     series = quotient = [0.0] * (order + 1)
     if small.any():
         xs = np.where(small, x0, 0.0)[..., None]
-        powers = np.cumprod(np.concatenate(
-            [np.ones_like(xs), np.repeat(xs, _BETA.size - 1, axis=-1)], axis=-1), axis=-1)
-        series = [powers[..., :_BETA.size - k]
-                  @ (_BETA[k:] * [math.comb(n, k) for n in range(k, _BETA.size)])
-                  for k in range(order + 1)]
+        series = np.moveaxis(xs ** np.arange(_BETA.size) @ _psi_series(order), -1, 0)
     if not small.all():
         t = Jet.variable(np.where(small, 1.0, x0), order)
         quotient = (t / Jet(np.expm1(t.c[0]), *exp(t).c[1:])).c

@@ -1,3 +1,6 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +15,7 @@ from bthom.corrector import (ConvergenceRecord, NoConvergenceError, build_bvp,
                              newton_correct, pack_unknowns, unpack_orbit,
                              _at_gauss, _mesh_pattern, _min_norm_step, _unpack,
                              _ricatti)
-from bthom.model import HH_BT_ALPHA, HH_BT_STATE, derivatives, eval_rhs
+from bthom.model import HH_BT_ALPHA, HH_BT_STATE, ModelError, derivatives, eval_rhs
 from bthom.nfcoeffs import analyze_bt
 from bthom.predictor import Method, amplitude_to_eps, make_mesh, sample_predictor
 
@@ -325,6 +328,120 @@ class TestNewton:
         _, z_warm, it_warm = correct_predictor(hh_model, preds[0], tol=1e-12)
         assert it_cold == it_warm >= 1
         assert np.array_equal(z_cold, z_warm)
+
+    def test_cold_and_warm_saddle_holders_agree_bitwise(self, benchmark_system):
+        bvp, z = benchmark_system
+        cold = dataclasses.replace(bvp)             # the same system, empty holder
+        r_cold, J_cold = bvp_residual(cold, z), bvp_jacobian(cold, z)
+        J_warm = bvp_jacobian(bvp, z)               # order 2 now held at z
+        r_warm = bvp_residual(bvp, z)
+        assert np.array_equal(r_cold, r_warm)
+        assert np.array_equal(J_cold.indptr, J_warm.indptr)
+        assert np.array_equal(J_cold.data, J_warm.data)
+
+    @pytest.mark.parametrize("system", ["bt_nf", "hh"])
+    def test_one_saddle_derivative_call_per_point(self, system, bt_nf_model, planar_setup,
+                                                  hh_model, hh_orbital, monkeypatch):
+        if system == "bt_nf":
+            model, (_, mesh, pred) = bt_nf_model, planar_setup
+        else:
+            model, mesh = hh_model, make_mesh(40, 4)
+            pred = sample_predictor(hh_orbital[1], LP, 0.1, mesh, k=1e-5)
+        saddle_calls = []
+
+        def counting(model, x, alpha, order=1):
+            if np.ndim(x) == 1:
+                saddle_calls.append(order)
+            return derivatives(model, x, alpha, order)
+
+        monkeypatch.setattr("bthom.corrector.derivatives", counting)
+        bvp = build_bvp(model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        z = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
+                          eps0=pred.eps0, eps1=pred.eps1)
+        bvp_residual(bvp, z)
+        bvp_jacobian(bvp, z)
+        assert saddle_calls == [2]
+        bvp_residual(bvp, z + 1e-9)                 # a new point
+        assert saddle_calls == [2, 1]
+
+    @staticmethod
+    def _count_jacobians(monkeypatch):
+        points = []
+
+        def counting(bvp, z):
+            points.append(z.copy())
+            return bvp_jacobian(bvp, z)
+
+        monkeypatch.setattr("bthom.corrector.bvp_jacobian", counting)
+        return points
+
+    def test_simplified_steps_reuse_the_first_jacobian(self, bt_nf_model, bt_nf_orbital,
+                                                       monkeypatch):
+        # a bt_nf 40x7 cell that takes 3 full Newton steps without simplified ones
+        _, ex = bt_nf_orbital
+        eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
+        pred = sample_predictor(ex, Method("lp", order=0), eps, make_mesh(40, 7),
+                                k=eps * 1e-6)
+        jacobians = self._count_jacobians(monkeypatch)
+        bvp, z, iters = correct_predictor(bt_nf_model, pred, tol=1e-11)
+        assert iters >= 2
+        assert len(jacobians) == 1
+        assert np.linalg.norm(bvp_residual(bvp, z)) <= 1e-11 * (1 + np.max(np.abs(z)))
+
+    def test_failed_contraction_falls_back_to_a_fresh_jacobian(self, bt_nf_model,
+                                                               planar_setup, monkeypatch):
+        _, mesh, pred = planar_setup
+        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        noise = 5e-3 * np.random.default_rng(0).standard_normal(pred.orbit.shape)
+        z0 = pack_unknowns(bvp, 1.5 * pred.orbit + noise, pred.s0, pred.alpha,
+                           eps0=pred.eps0, eps1=pred.eps1)
+        calls = []                                  # (function name, point)
+        for fn in (bvp_residual, bvp_jacobian):
+            def recording(bvp, z, fn=fn):
+                calls.append((fn.__name__, z.copy()))
+                return fn(bvp, z)
+            monkeypatch.setattr(f"bthom.corrector.{fn.__name__}", recording)
+        z, iters = newton_correct(bvp, z0)
+        # a Jacobian away from the point of the residual just before it follows
+        # a discarded simplified step
+        fallbacks = [zj for (a, zr), (b, zj) in zip(calls, calls[1:])
+                     if (a, b) == ("bvp_residual", "bvp_jacobian")
+                     and not np.array_equal(zr, zj)]
+        assert fallbacks
+        assert iters > sum(name == "bvp_jacobian" for name, _ in calls)
+        assert np.linalg.norm(bvp_residual(bvp, z)) <= 1e-10 * (1 + np.max(np.abs(z0)))
+
+    def test_model_error_in_simplified_step_falls_back(self, bt_nf_model, bt_nf_orbital,
+                                                       monkeypatch):
+        _, ex = bt_nf_orbital
+        eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
+        pred = sample_predictor(ex, Method("lp", order=0), eps, make_mesh(40, 7),
+                                k=eps * 1e-6)
+        calls = []
+
+        def fail_on_simplified_step(bvp, z):
+            calls.append(z)
+            if len(calls) == 3:          # z0, the full step, the first simplified step
+                raise ModelError("forced")
+            return bvp_residual(bvp, z)
+
+        monkeypatch.setattr("bthom.corrector.bvp_residual", fail_on_simplified_step)
+        jacobians = self._count_jacobians(monkeypatch)
+        bvp, z, iters = correct_predictor(bt_nf_model, pred, tol=1e-11)
+        assert len(jacobians) == 2 and np.array_equal(jacobians[1], calls[1])
+        assert np.linalg.norm(bvp_residual(bvp, z)) <= 1e-11 * (1 + np.max(np.abs(z)))
+
+    def test_diverged_residual_raises_without_overflow_warning(self, bt_nf_model,
+                                                               planar_setup):
+        _, mesh, pred = planar_setup
+        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        orbit = pred.orbit.copy()
+        orbit[orbit.shape[0] // 2] = 1e100          # a ~1e200 residual: |r|^2 overflows
+        z = pack_unknowns(bvp, orbit, pred.s0, pred.alpha, eps0=pred.eps0, eps1=pred.eps1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergenceError, match="diverged"):
+                newton_correct(bvp, z)
 
     def test_singular_bordered_jacobian_is_typed(self, bt_nf_model, planar_setup,
                                                  monkeypatch):
