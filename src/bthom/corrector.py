@@ -10,6 +10,7 @@ than equations (the homoclinic branch), so corrections are minimum-norm
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -64,18 +65,36 @@ def _at_gauss(M: np.ndarray, orbit: np.ndarray, ntst: int, ncol: int) -> np.ndar
     return (M.T @ orbit[nodes]).reshape(ntst * ncol, -1)
 
 
+def _runs(shapes: dict) -> tuple[dict, int]:
+    """Lay named blocks end to end: name -> (slice, block shape), and the total size."""
+    runs, start = {}, 0
+    for name, shape in shapes.items():
+        runs[name] = (slice(start, start + math.prod(shape)), shape)
+        start += math.prod(shape)
+    return runs, start
+
+
+def _views(runs: dict, flat: np.ndarray) -> dict:
+    """Views of the vector ``flat``, one per named run, in the run's block shape."""
+    return {name: flat[sl].reshape(shape) for name, (sl, shape) in runs.items()}
+
+
 @dataclass(frozen=True, eq=False)
 class _MeshPattern:
     """Everything a structural key (ntst, ncol, n, nU, dependency mask) fixes.
 
-    The collocation tables, the phase quadrature weights, and the structure of
-    the Jacobian: each value block of `bvp_jacobian` owns a named run of slots
-    (``slots``: name -> (slice, block shape)); ``pos`` maps every slot to its
-    CSC position, slots summed into one entry sharing it and structurally zero
-    slots (identity and Kronecker off-diagonals, derivatives the model's code
-    strings exclude) mapping to ``nnz``.  ``order`` is the fill-reducing column
-    elimination order of the bordered matrix [J; e_border^T].  Arrays are
-    read-only: the cache hands them to every caller.
+    The collocation tables, the phase quadrature weights, the block layout of
+    the defining system and the structure of its Jacobian.  The layout is two
+    tables of named runs (name -> (slice, block shape)): ``unknowns`` orders z
+    (orbit, s0, alpha, YU, YS, eps) and ``equations`` orders the residual
+    (coll, saddle, phase, bc_u, bc_s, ric_u, ric_s, dist).  Likewise each value
+    block of `bvp_jacobian` owns a named run of slots (``slots``); ``pos``
+    maps every slot to its CSC position, slots summed into one entry sharing
+    it and structurally zero slots (identity and Kronecker off-diagonals,
+    derivatives the model's code strings exclude) mapping to ``nnz``.
+    ``order`` is the fill-reducing column elimination order of the bordered
+    matrix [J; e_border^T].  Arrays are read-only: the cache hands them to
+    every caller.
     """
 
     P: np.ndarray                # local basis values at Gauss points
@@ -83,6 +102,8 @@ class _MeshPattern:
     Pg: np.ndarray               # P's column for each Gauss point, (G, ncol+1)
     Dg: np.ndarray               # likewise for D
     w: np.ndarray                # phase-integral weights at the Gauss points
+    unknowns: dict
+    equations: dict
     slots: dict
     pos: np.ndarray
     indices: np.ndarray
@@ -94,10 +115,6 @@ class _MeshPattern:
     @property
     def nnz(self) -> int:
         return self.indices.size
-
-    def blocks(self, flat: np.ndarray) -> dict:
-        """Views of the slot vector ``flat``, one per value block, in block shape."""
-        return {name: flat[sl].reshape(shape) for name, (sl, shape) in self.slots.items()}
 
 
 def _dependency_mask(model: OdeModel) -> tuple:
@@ -114,21 +131,14 @@ def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, mask: tuple) -> _MeshPa
     nS, G = n - nU, ntst * ncol
     c = np.arange(G) % ncol
     nodes = (np.arange(G) - c)[:, None] + np.arange(ncol + 1)      # (G, ncol+1)
-    n_orb = (G + 1) * n
-    i_s0 = n_orb
-    i_al = i_s0 + n
-    i_yu = i_al + 2
-    i_ys = i_yu + nS * nU
-    i_e0 = i_ys + nS * nU
-    N = i_e0 + 2
-    r_sa = G * n
-    r_bu = r_sa + n + 1
-    r_bs = r_bu + nS
-    r_ru = r_bs + nU
-    r_rs = r_ru + nS * nU
-    r_d = r_rs + nS * nU
+    unknowns, N = _runs({"orbit": (G + 1, n), "s0": (n,), "alpha": (2,),
+                         "YU": (nS, nU), "YS": (nU, nS), "eps": (2,)})
+    equations, M = _runs({"coll": (G, n), "saddle": (n,), "phase": (), "bc_u": (nS,),
+                          "bc_s": (nU,), "ric_u": (nS, nU), "ric_s": (nU, nS), "dist": (2,)})
+    # column and row indices of each run, in block shape
+    u, e = _views(unknowns, np.arange(N)), _views(equations, np.arange(M))
+    s0_alpha = np.concatenate([u["s0"], u["alpha"]])   # the saddle jet's variables
     dep = np.array(mask, dtype=bool)
-    ar = np.arange
 
     def kron_keep(k, m):
         """Structure of kron(L, I_m) - kron(I_k, R): entries with a == c or b == d."""
@@ -138,49 +148,44 @@ def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, mask: tuple) -> _MeshPa
     # name: (rows, cols, kept), broadcast to the block's shape
     layout = {
         # Gauss point g = j*ncol + c couples to the ncol + 1 nodes of its interval
-        "coll": (ar(G * n).reshape(G, 1, n, 1), (nodes * n)[:, :, None, None] + ar(n),
+        "coll": (e["coll"][:, None, :, None], u["orbit"][nodes][:, :, None, :],
                  np.eye(n, dtype=bool) | dep[:, :n]),
-        "coll_alpha": (ar(G * n).reshape(G, n, 1), i_al + ar(2), dep[:, n:]),
-        "saddle": (r_sa + ar(n)[:, None], i_s0 + ar(n + 2), dep),
+        "coll_alpha": (e["coll"][:, :, None], u["alpha"], dep[:, n:]),
+        "saddle": (e["saddle"][:, None], s0_alpha, dep),
         # the end node of one interval is the start node of the next, so phase
         # contributions accumulate
-        "phase": (r_sa + n, (nodes * n)[:, :, None] + ar(n), True),
-        "bc_u_orbit": (r_bu + ar(nS)[:, None], ar(n), True),
-        "bc_u_s0": (r_bu + ar(nS)[:, None], i_s0 + ar(n), True),
-        "bc_u_y": (r_bu + ar(nS)[:, None], i_yu + ar(nS)[:, None] * nU + ar(nU), True),
-        "bc_s_orbit": (r_bs + ar(nU)[:, None], n_orb - n + ar(n), True),
-        "bc_s_s0": (r_bs + ar(nU)[:, None], i_s0 + ar(n), True),
-        "bc_s_y": (r_bs + ar(nU)[:, None], i_ys + ar(nU)[:, None] * nS + ar(nS), True),
-        "ric_u_y": (r_ru + ar(nS * nU)[:, None], i_yu + ar(nS * nU), kron_keep(nS, nU)),
-        "ric_s_y": (r_rs + ar(nU * nS)[:, None], i_ys + ar(nU * nS), kron_keep(nU, nS)),
-        "ric_u_p": (r_ru + ar(nS * nU)[:, None], i_s0 + ar(n + 2), True),
-        "ric_s_p": (r_rs + ar(nU * nS)[:, None], i_s0 + ar(n + 2), True),
-        "dist_orbit": (r_d + ar(2)[:, None], np.array([[0], [n_orb - n]]) + ar(n), True),
-        "dist_s0": (r_d + ar(2)[:, None], i_s0 + ar(n), True),
-        "dist_eps": (r_d + ar(2), i_e0 + ar(2), True),
+        "phase": (e["phase"], u["orbit"][nodes], True),
+        "bc_u_orbit": (e["bc_u"][:, None], u["orbit"][0], True),
+        "bc_u_s0": (e["bc_u"][:, None], u["s0"], True),
+        "bc_u_y": (e["bc_u"][:, None], u["YU"], True),
+        "bc_s_orbit": (e["bc_s"][:, None], u["orbit"][-1], True),
+        "bc_s_s0": (e["bc_s"][:, None], u["s0"], True),
+        "bc_s_y": (e["bc_s"][:, None], u["YS"], True),
+        "ric_u_y": (e["ric_u"].reshape(-1, 1), u["YU"].ravel(), kron_keep(nS, nU)),
+        "ric_s_y": (e["ric_s"].reshape(-1, 1), u["YS"].ravel(), kron_keep(nU, nS)),
+        "ric_u_p": (e["ric_u"].reshape(-1, 1), s0_alpha, True),
+        "ric_s_p": (e["ric_s"].reshape(-1, 1), s0_alpha, True),
+        "dist_orbit": (e["dist"][:, None], u["orbit"][[0, -1]], True),
+        "dist_s0": (e["dist"][:, None], u["s0"], True),
+        "dist_eps": (e["dist"], u["eps"], True),
     }
-    slots, rows, cols, kept, start = {}, [], [], [], 0
-    for name, parts in layout.items():
-        r, col, k = np.broadcast_arrays(*parts)
-        slots[name] = (slice(start, start + r.size), r.shape)
-        start += r.size
-        rows.append(r.ravel())
-        cols.append(col.ravel())
-        kept.append(k.ravel())
-    rows, cols, kept = map(np.concatenate, (rows, cols, kept))
+    parts = [np.broadcast_arrays(*p) for p in layout.values()]
+    slots, _ = _runs({name: r.shape for name, (r, _, _) in zip(layout, parts)})
+    rows, cols, kept = (np.concatenate([p[i].ravel() for p in parts]) for i in range(3))
     # unique (col, row) pairs in CSC order; repeated slots share one position
-    entries, where = np.unique(cols[kept] * (N - 1) + rows[kept], return_inverse=True)
+    entries, where = np.unique(cols[kept] * M + rows[kept], return_inverse=True)
     pos = np.full(rows.size, entries.size)
     pos[kept] = where
-    indices = (entries % (N - 1)).astype(np.int32)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(entries // (N - 1), minlength=N))])
+    indices = (entries % M).astype(np.int32)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(entries // M, minlength=N))])
 
     # MMD column order of [J; e_border^T], found by factoring the structure with
     # fixed pseudo-random values: it depends on the structure alone, so it is
     # the same whichever system first fills the cache.  Pivoting does not
     # change it; preferring diagonal pivots keeps this factorization cheap.
-    b_indices = np.insert(indices, indptr[i_al + 1], N - 1)
-    b_indptr = indptr + (ar(N + 1) > i_al)
+    border = unknowns["alpha"][0].start
+    b_indices = np.insert(indices, indptr[border + 1], M)
+    b_indptr = indptr + (np.arange(N + 1) > border)
     values = np.random.default_rng(0).uniform(1.0, 2.0, b_indices.size)
     canonical = scipy.sparse.csc_matrix((values, b_indices, b_indptr), shape=(N, N))
     perm_c = scipy.sparse.linalg.splu(canonical, permc_spec="MMD_AT_PLUS_A",
@@ -191,7 +196,8 @@ def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, mask: tuple) -> _MeshPa
                   order=np.argsort(perm_c))
     for a in arrays.values():
         a.flags.writeable = False
-    return _MeshPattern(slots=slots, shape=(N - 1, N), border=i_al, **arrays)
+    return _MeshPattern(unknowns=unknowns, equations=equations, slots=slots, shape=(M, N),
+                        border=border, **arrays)
 
 
 @dataclass
@@ -202,10 +208,8 @@ class HomBvp:
     mesh: Mesh
     T: float
     x_tilde: np.ndarray          # reference orbit on the fine mesh
-    QU: np.ndarray
-    QUperp: np.ndarray
-    QS: np.ndarray
-    QSperp: np.ndarray
+    ZU: np.ndarray               # Schur basis of the saddle Jacobian, unstable subspace first
+    ZS: np.ndarray               # likewise, stable subspace first
     n_unstable: int
     n_stable: int
     xt_gauss: np.ndarray         # reference orbit at collocation points
@@ -216,33 +220,14 @@ class HomBvp:
     _saddle: tuple = field(init=False, default=(b"", ()), repr=False)
 
     @property
-    def P(self) -> np.ndarray:
-        return self.pattern.P
-
-    @property
-    def D(self) -> np.ndarray:
-        return self.pattern.D
-
-    @property
     def n(self) -> int:
         return self.model.dim
 
-    @property
-    def n_orbit(self) -> int:
-        return self.mesh.ntst * self.mesh.ncol + 1
-
     def sizes(self):
-        n, nU, nS = self.n, self.n_unstable, self.n_stable
-        n_orb = self.n_orbit * n
-        return {
-            "orbit": n_orb,
-            "s0": n,
-            "alpha": 2,
-            "YU": nS * nU,
-            "YS": nU * nS,
-            "dist": 2,
-            "total": n_orb + n + 2 + 2 * nS * nU + 2,
-        }
+        """The number of unknowns in each run ("dist": eps0, eps1) and in total."""
+        sizes = {"dist" if name == "eps" else name: sl.stop - sl.start
+                 for name, (sl, _) in self.pattern.unknowns.items()}
+        return sizes | {"total": self.pattern.shape[1]}
 
 
 def _hold(s0: np.ndarray, alpha: np.ndarray, jets: list) -> tuple:
@@ -286,8 +271,7 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
     ntst, ncol = mesh.ntst, mesh.ncol
     pattern = _mesh_pattern(ntst, ncol, n, nU, _dependency_mask(model))
     bvp = HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
-                 QU=ZU[:, :nU], QUperp=ZU[:, nU:], QS=ZS[:, :nS],
-                 QSperp=ZS[:, nS:], n_unstable=nU, n_stable=nS,
+                 ZU=ZU, ZS=ZS, n_unstable=nU, n_stable=nS,
                  xt_gauss=_at_gauss(pattern.P, x_tilde, ntst, ncol),
                  xt_dot_gauss=_at_gauss(pattern.D, x_tilde, ntst, ncol) * ntst,
                  pattern=pattern)
@@ -297,25 +281,27 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
 
 def pack_unknowns(bvp: HomBvp, orbit, s0, alpha, YU=None, YS=None,
                   eps0=0.0, eps1=0.0) -> np.ndarray:
-    nU, nS = bvp.n_unstable, bvp.n_stable
-    YU = np.zeros((nS, nU)) if YU is None else YU
-    YS = np.zeros((nU, nS)) if YS is None else YS
-    return np.concatenate([np.asarray(orbit, float).ravel(), np.asarray(s0, float),
-                           np.asarray(alpha, float), YU.ravel(), YS.ravel(),
-                           [eps0, eps1]])
+    """The unknown vector z of these blocks, YU and YS zero by default; a block
+    whose shape is not its run's is a ValueError."""
+    z = np.zeros(bvp.pattern.shape[1])
+    blocks = dict(orbit=orbit, s0=s0, alpha=alpha, YU=YU, YS=YS, eps=(eps0, eps1))
+    for name, view in _views(bvp.pattern.unknowns, z).items():
+        if blocks[name] is not None:
+            if np.shape(blocks[name]) != view.shape:
+                raise ValueError(f"{name} has shape {np.shape(blocks[name])}, "
+                                 f"expected {view.shape}")
+            view[...] = blocks[name]
+    return z
 
 
 def _unpack(bvp: HomBvp, z: np.ndarray):
-    n, nU, nS = bvp.n, bvp.n_unstable, bvp.n_stable
-    n_orb = bvp.n_orbit * n
-    orbit = z[:n_orb].reshape(bvp.n_orbit, n)
-    s0 = z[n_orb:n_orb + n]
-    alpha = z[n_orb + n:n_orb + n + 2]
-    o = n_orb + n + 2
-    YU = z[o:o + nS * nU].reshape(nS, nU)
-    YS = z[o + nS * nU:o + 2 * nS * nU].reshape(nU, nS)
-    eps0, eps1 = z[-2], z[-1]
-    return orbit, s0, alpha, YU, YS, eps0, eps1
+    """Views of z's blocks (orbit, s0, alpha, YU, YS, eps0, eps1); a z whose
+    shape is not (number of unknowns,) is a ValueError."""
+    N = bvp.pattern.shape[1]
+    if np.shape(z) != (N,):
+        raise ValueError(f"unknown vector has shape {np.shape(z)}, expected ({N},)")
+    orbit, s0, alpha, YU, YS, eps = _views(bvp.pattern.unknowns, z).values()
+    return orbit, s0, alpha, YU, YS, eps[0], eps[1]
 
 
 def unpack_orbit(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
@@ -328,41 +314,46 @@ def _ricatti(t, Y, nU):
     return t22 @ Y - Y @ t11 + t21 - Y @ t12 @ Y
 
 
+def _projections(bvp: HomBvp, YU: np.ndarray, YS: np.ndarray) -> tuple:
+    """PU (n x nS), orthogonal to the unstable space that YU turns the frozen
+    one into, and PS (n x nU), likewise for the stable space and YS."""
+    nU, nS = bvp.n_unstable, bvp.n_stable
+    return bvp.ZU[:, nU:] - bvp.ZU[:, :nU] @ YU.T, bvp.ZS[:, nS:] - bvp.ZS[:, :nS] @ YS.T
+
+
+def _in_frozen_bases(bvp: HomBvp, A: np.ndarray) -> tuple:
+    """A (or a stack of matrices) in the frozen Schur bases: ZU^T A ZU, ZS^T A ZS."""
+    return bvp.ZU.T @ A @ bvp.ZU, bvp.ZS.T @ A @ bvp.ZS
+
+
 def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
-    sizes = bvp.sizes()
-    if z.size != sizes["total"]:
-        raise ValueError(f"unknown vector has size {z.size}, expected {sizes['total']}")
     orbit, s0, alpha, YU, YS, eps0, eps1 = _unpack(bvp, z)
-    model, mesh = bvp.model, bvp.mesh
-    ntst, ncol = mesh.ntst, mesh.ncol
+    model, pat, ntst = bvp.model, bvp.pattern, bvp.mesh.ntst
+    r = np.empty(pat.shape[0])
+    e = _views(pat.equations, r)
 
     # collocation: dx/dsigma = 2T f(x, alpha) at Gauss points; the rows are
     # scaled by 1/(2T) so the residual is in vector-field units regardless of
     # the half-return time (the Newton step is invariant under row scaling)
-    xg = _at_gauss(bvp.P, orbit, ntst, ncol)
-    dxg = _at_gauss(bvp.D, orbit, ntst, ncol) * ntst
-    coll = dxg / (2.0 * bvp.T) - eval_rhs(model, xg, alpha)
+    xg = _at_gauss(pat.P, orbit, ntst, bvp.mesh.ncol)
+    dxg = _at_gauss(pat.D, orbit, ntst, bvp.mesh.ncol) * ntst
+    e["coll"][...] = dxg / (2.0 * bvp.T) - eval_rhs(model, xg, alpha)
 
-    saddle = eval_rhs(model, s0, alpha)
+    e["saddle"][...] = eval_rhs(model, s0, alpha)
 
-    phase = float(np.sum(bvp.pattern.w[:, None] * bvp.xt_dot_gauss * (xg - bvp.xt_gauss)))
+    e["phase"][...] = np.sum(pat.w[:, None] * bvp.xt_dot_gauss * (xg - bvp.xt_gauss))
 
-    PU = bvp.QUperp - bvp.QU @ YU.T      # n x nS, orthogonal to the unstable space
-    PS = bvp.QSperp - bvp.QS @ YS.T      # n x nU, orthogonal to the stable space
-    bc_left = PU.T @ (orbit[0] - s0)
-    bc_right = PS.T @ (orbit[-1] - s0)
+    PU, PS = _projections(bvp, YU, YS)
+    e["bc_u"][...] = PU.T @ (orbit[0] - s0)
+    e["bc_s"][...] = PS.T @ (orbit[-1] - s0)
 
-    A = _saddle_derivatives(bvp, s0, alpha, 1)[0][:, :bvp.n]
-    QUfull = np.hstack([bvp.QU, bvp.QUperp])
-    QSfull = np.hstack([bvp.QS, bvp.QSperp])
-    ric_u = _ricatti(QUfull.T @ A @ QUfull, YU, bvp.n_unstable)
-    ric_s = _ricatti(QSfull.T @ A @ QSfull, YS, bvp.n_stable)
+    tU, tS = _in_frozen_bases(bvp, _saddle_derivatives(bvp, s0, alpha, 1)[0][:, :bvp.n])
+    e["ric_u"][...] = _ricatti(tU, YU, bvp.n_unstable)
+    e["ric_s"][...] = _ricatti(tS, YS, bvp.n_stable)
 
-    dist0 = np.linalg.norm(orbit[0] - s0) - eps0
-    dist1 = np.linalg.norm(orbit[-1] - s0) - eps1
-
-    return np.concatenate([coll.ravel(), saddle, [phase], bc_left, bc_right,
-                           ric_u.ravel(), ric_s.ravel(), [dist0, dist1]])
+    e["dist"][...] = (np.linalg.norm(orbit[0] - s0) - eps0,
+                      np.linalg.norm(orbit[-1] - s0) - eps1)
+    return r
 
 
 def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
@@ -375,10 +366,10 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     model, pat, ntst, n = bvp.model, bvp.pattern, bvp.mesh.ntst, bvp.n
     nU, nS = bvp.n_unstable, bvp.n_stable
     flat = np.empty(pat.pos.size)
-    v = pat.blocks(flat)
+    v = _views(pat.slots, flat)
 
     # [f_x | f_alpha] at all collocation points
-    xg = _at_gauss(bvp.P, orbit, ntst, bvp.mesh.ncol)
+    xg = _at_gauss(pat.P, orbit, ntst, bvp.mesh.ncol)
     fxa = derivatives(model, xg, alpha)[0]
     inv2T = 1.0 / (2.0 * bvp.T)
     v["coll"][...] = ((pat.Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
@@ -394,23 +385,18 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     v["phase"][...] = pat.Pg[:, :, None] * coeff[:, None, :]
 
     # boundary condition rows
-    PU = bvp.QUperp - bvp.QU @ YU.T
-    PS = bvp.QSperp - bvp.QS @ YS.T
+    PU, PS = _projections(bvp, YU, YS)
     du0 = orbit[0] - s0
     du1 = orbit[-1] - s0
     v["bc_u_orbit"][...] = PU.T
     v["bc_u_s0"][...] = -PU.T
-    v["bc_u_y"][...] = -(du0 @ bvp.QU)
+    v["bc_u_y"][...] = -(du0 @ bvp.ZU[:, :nU])
     v["bc_s_orbit"][...] = PS.T
     v["bc_s_s0"][...] = -PS.T
-    v["bc_s_y"][...] = -(du1 @ bvp.QS)
+    v["bc_s_y"][...] = -(du1 @ bvp.ZS[:, :nS])
 
     # Riccati rows
-    A = A_sa[:, :n]
-    QUfull = np.hstack([bvp.QU, bvp.QUperp])
-    QSfull = np.hstack([bvp.QS, bvp.QSperp])
-    tU = QUfull.T @ A @ QUfull
-    tS = QSfull.T @ A @ QSfull
+    tU, tS = _in_frozen_bases(bvp, A_sa[:, :n])
 
     def ric_y_block(t, Y, k):
         left = t[k:, k:] - Y @ t[:k, k:]
@@ -421,9 +407,7 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     v["ric_s_y"][...] = ric_y_block(tS, YS, nS)
 
     # dA/dp for each (s0, alpha) coordinate p
-    dA = np.moveaxis(T2[:, :n, :], -1, 0)
-    dtU = QUfull.T @ dA @ QUfull
-    dtS = QSfull.T @ dA @ QSfull
+    dtU, dtS = _in_frozen_bases(bvp, np.moveaxis(T2[:, :n, :], -1, 0))
     # the Riccati residual is linear homogeneous in the T-blocks
     v["ric_u_p"][...] = _ricatti(dtU, YU, nU).reshape(n + 2, -1).T
     v["ric_s_p"][...] = _ricatti(dtS, YS, nS).reshape(n + 2, -1).T

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -68,6 +69,8 @@ def _coo_jacobian(bvp, z):
     model, mesh = bvp.model, bvp.mesh
     ntst, ncol, n = mesh.ntst, mesh.ncol, bvp.n
     nU, nS = bvp.n_unstable, bvp.n_stable
+    QU, QUperp = np.hsplit(bvp.ZU, [nU])
+    QS, QSperp = np.hsplit(bvp.ZS, [nS])
     m_total, n_orb = bvp.sizes()["total"], bvp.sizes()["orbit"]
     i_s0, i_al = n_orb, n_orb + n
     i_yu = i_al + 2
@@ -83,12 +86,12 @@ def _coo_jacobian(bvp, z):
         M = np.atleast_2d(M)
         put(r0 + np.arange(M.shape[0])[:, None], c0 + np.arange(M.shape[1]), M)
 
-    xg = _at_gauss(bvp.P, orbit, ntst, ncol)
+    xg = _at_gauss(bvp.pattern.P, orbit, ntst, ncol)
     fxa = derivatives(model, xg, alpha)[0]
     G = ntst * ncol
     c = np.arange(G) % ncol
     nodes = (np.arange(G) - c)[:, None] + np.arange(ncol + 1)
-    Dg, Pg = bvp.D.T[c], bvp.P.T[c]
+    Dg, Pg = bvp.pattern.D.T[c], bvp.pattern.P.T[c]
     inv2T = 1.0 / (2.0 * bvp.T)
     blocks = ((Dg * ntst * inv2T)[:, :, None, None] * np.eye(n)
               - Pg[:, :, None, None] * fxa[:, None, :, :n])
@@ -103,21 +106,21 @@ def _coo_jacobian(bvp, z):
     coeff = w[:, None] * bvp.xt_dot_gauss
     put(row, (nodes * n)[:, :, None] + np.arange(n), Pg[:, :, None] * coeff[:, None, :])
     row += 1
-    PU = bvp.QUperp - bvp.QU @ YU.T
-    PS = bvp.QSperp - bvp.QS @ YS.T
+    PU = QUperp - QU @ YU.T
+    PS = QSperp - QS @ YS.T
     du0, du1 = orbit[0] - s0, orbit[-1] - s0
     block(row, 0, PU.T)
     block(row, i_s0, -PU.T)
     r = np.arange(nS)[:, None]
-    put(row + r, i_yu + r * nU + np.arange(nU), -(du0 @ bvp.QU))
+    put(row + r, i_yu + r * nU + np.arange(nU), -(du0 @ QU))
     row += nS
     block(row, n_orb - n, PS.T)
     block(row, i_s0, -PS.T)
     r = np.arange(nU)[:, None]
-    put(row + r, i_ys + r * nS + np.arange(nS), -(du1 @ bvp.QS))
+    put(row + r, i_ys + r * nS + np.arange(nS), -(du1 @ QS))
     row += nU
-    QUfull = np.hstack([bvp.QU, bvp.QUperp])
-    QSfull = np.hstack([bvp.QS, bvp.QSperp])
+    QUfull = np.hstack([QU, QUperp])
+    QSfull = np.hstack([QS, QSperp])
     tU = QUfull.T @ A_sa[:, :n] @ QUfull
     tS = QSfull.T @ A_sa[:, :n] @ QSfull
 
@@ -189,6 +192,62 @@ class TestJacobianPattern:
             J.indices[0] = 1
 
 
+class TestLayout:
+    def test_runs_tile_the_unknowns_and_the_equations(self, benchmark_system):
+        bvp, z = benchmark_system
+        pat = bvp.pattern
+        assert pat.shape == (z.size - 1, z.size)
+        for runs, total in ((pat.unknowns, z.size), (pat.equations, z.size - 1)):
+            bounds = [(sl.start, sl.stop) for sl, _ in runs.values()]
+            assert [a for a, _ in bounds] == [0] + [b for _, b in bounds[:-1]]
+            assert bounds[-1][1] == total
+            assert all(sl.stop - sl.start == math.prod(shape) for sl, shape in runs.values())
+
+    def test_pack_and_unpack_round_trip(self, benchmark_system):
+        bvp, z = benchmark_system
+        z = np.random.default_rng(4).standard_normal(z.size)     # YU, YS nonzero too
+        blocks = _unpack(bvp, z)
+        assert all(np.shares_memory(b, z) for b in blocks[:5])
+        assert np.array_equal(pack_unknowns(bvp, *blocks), z)
+
+    def test_sizes_count_each_block(self, benchmark_system):
+        bvp, z = benchmark_system
+        n, nU, nS = bvp.n, bvp.n_unstable, bvp.n_stable
+        n_orb = (bvp.mesh.ntst * bvp.mesh.ncol + 1) * n
+        assert bvp.sizes() == {"orbit": n_orb, "s0": n, "alpha": 2, "YU": nS * nU,
+                               "YS": nU * nS, "dist": 2,
+                               "total": n_orb + n + 2 + 2 * nS * nU + 2}
+        assert z.size == bvp.sizes()["total"]
+
+    def test_slot_rows_lie_in_their_equation_run(self, benchmark_system):
+        bvp, _ = benchmark_system
+        pat = bvp.pattern
+        for name, (sl, _) in pat.slots.items():
+            # the equation run a slot run belongs to prefixes its name
+            eq = max((e for e in pat.equations if name.startswith(e)), key=len)
+            rows = pat.indices[pat.pos[sl][pat.pos[sl] < pat.nnz]]
+            assert rows.size
+            run = pat.equations[eq][0]
+            assert np.all((rows >= run.start) & (rows < run.stop)), name
+
+    def test_misshaped_unknown_vector_is_rejected(self, predictor_system):
+        bvp, z = predictor_system
+        for bad in (np.append(z, 7.0), z[:-1], z[None, :]):
+            for f in (bvp_residual, bvp_jacobian, unpack_orbit):
+                with pytest.raises(ValueError, match="unknown vector has shape"):
+                    f(bvp, bad)
+
+    def test_misshaped_block_is_rejected(self, bt_nf_model, planar_setup):
+        _, mesh, pred = planar_setup
+        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        with pytest.raises(ValueError, match="orbit has shape"):
+            pack_unknowns(bvp, pred.orbit[:-1], pred.s0, pred.alpha)
+        with pytest.raises(ValueError, match="alpha has shape"):
+            pack_unknowns(bvp, pred.orbit, pred.s0, np.append(pred.alpha, 0.0))
+        with pytest.raises(ValueError, match="YU has shape"):
+            pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha, YU=np.zeros(1))
+
+
 class TestResidual:
     def test_constant_saddle_solution_has_zero_core_residual(self, bt_nf_model,
                                                              planar_setup):
@@ -197,7 +256,7 @@ class TestResidual:
         s0 = so.fsolve(lambda x: eval_rhs(bt_nf_model, x, alpha), [0.1, 0.0],
                        xtol=1e-14)
         bvp = build_bvp(bt_nf_model, mesh, 1.0, pred.orbit, s0, alpha)
-        orbit = np.tile(s0, (bvp.n_orbit, 1))
+        orbit = np.broadcast_to(s0, bvp.pattern.unknowns["orbit"][1])
         z = pack_unknowns(bvp, orbit, s0, alpha, eps0=0.0, eps1=0.0)
         r = bvp_residual(bvp, z)
         ncoll = mesh.ntst * mesh.ncol * 2
@@ -259,13 +318,23 @@ class TestNewton:
         assert iters == 0
         assert np.array_equal(z, z2)
 
-    def test_garbage_start_fails(self, bt_nf_model, planar_setup):
+    def test_max_iter_bounds_the_step_count(self, bt_nf_model, planar_setup):
+        # the zero-orbit start converges at the default max_iter, in 13 steps
         _, mesh, pred = planar_setup
         bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
         z = pack_unknowns(bvp, np.zeros_like(pred.orbit), pred.s0, pred.alpha,
                           eps0=pred.eps0, eps1=pred.eps1)
         with pytest.raises(NoConvergenceError):
             newton_correct(bvp, z, max_iter=8)
+
+    def test_garbage_start_fails(self, bt_nf_model, planar_setup):
+        _, mesh, pred = planar_setup
+        bvp = build_bvp(bt_nf_model, mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
+        z = pack_unknowns(bvp, 100 * pred.orbit, pred.s0, pred.alpha,
+                          eps0=pred.eps0, eps1=pred.eps1)
+        for max_iter in (20, 60):        # it stalls, then finds no descent
+            with pytest.raises(NoConvergenceError):
+                newton_correct(bvp, z, max_iter=max_iter)
 
     def test_sparse_step_matches_dense_min_norm(self, predictor_system):
         bvp, z = predictor_system
