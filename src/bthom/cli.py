@@ -32,6 +32,13 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _number(option: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        raise UsageError(f"bad {option} value {text!r}") from None
+
+
 def _load_model(args):
     name = args.model
     coeffs = {}
@@ -39,19 +46,26 @@ def _load_model(args):
         key, sep, val = item.partition("=")
         if not sep:
             raise UsageError(f"bad --coeff {item!r}; expected KEY=VALUE")
-        coeffs[key] = float(val)
+        coeffs[key] = _number("--coeff", val)
     if name in ("bt_nf", "hh"):
-        return builtin_model(name, **coeffs)
-    with open(name, encoding="utf-8") as fh:
-        return parse_model(fh.read(), name=name)
+        try:
+            return builtin_model(name, **coeffs)
+        except (TypeError, ValueError) as exc:      # a coefficient the builtin lacks
+            raise UsageError(f"--coeff: {exc}") from None
+    try:
+        with open(name, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read model file: {exc}") from None
+    return parse_model(text, name=name)
 
 
 def _bt_point(args, model):
     if (args.x0 is None) != (args.alpha0 is None):
         raise UsageError("--x0 and --alpha0 must be given together")
     if args.x0 is not None:
-        x0 = np.array([float(v) for v in args.x0.split(",")])
-        alpha0 = np.array([float(v) for v in args.alpha0.split(",")])
+        x0 = np.array([_number("--x0", v) for v in args.x0.split(",")])
+        alpha0 = np.array([_number("--alpha0", v) for v in args.alpha0.split(",")])
         return x0, alpha0
     if model.name in _BUILTIN_POINTS:
         return _BUILTIN_POINTS[model.name]
@@ -67,6 +81,12 @@ def _add_point_args(p):
                    help="builtin bt_nf coefficient (a, b, c1, d, e, a1, b1)")
     p.add_argument("--x0", help="comma-separated approximate BT state")
     p.add_argument("--alpha0", help="comma-separated BT parameter values")
+
+
+def _mesh(args):
+    if args.ntst < 2 or args.ncol < 2:
+        raise UsageError("--ntst and --ncol must be at least 2")
+    return make_mesh(args.ntst, args.ncol)
 
 
 def _method(args) -> Method:
@@ -117,7 +137,7 @@ def cmd_predict(args) -> int:
     model = _load_model(args)
     x0, alpha0 = _bt_point(args, model)
     _, ex = analyze_bt(model, x0, alpha0, args.variant)
-    mesh = make_mesh(args.ntst, args.ncol)
+    mesh = _mesh(args)
     try:
         pred = sample_predictor(ex, method, args.eps, mesh,
                                 k=args.k if args.k is not None else args.eps * 1e-4)
@@ -133,6 +153,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_lpseries(args) -> int:
+    if args.order < 1:
+        raise UsageError("--order must be at least 1")
     series = lp_solve_quadratic(args.order)
     lines = ["i,tau_i,sigma_i"]
     for i in range(args.order):
@@ -154,11 +176,14 @@ def cmd_lpseries(args) -> int:
     return 0
 
 
-def _parse_amplitudes(spec: str):
-    if ":" in spec:
+def _parse_amplitudes(option: str, spec: str):
+    if spec.count(":") == 2:
         lo, hi, cnt = spec.split(":")
-        return np.logspace(np.log10(float(lo)), np.log10(float(hi)), int(cnt))
-    return np.array([float(v) for v in spec.split(",")])
+        lo, hi, cnt = _number(option, lo), _number(option, hi), _number(option, cnt, int)
+        if not (lo > 0 and hi > 0 and cnt >= 1):
+            raise UsageError(f"{option} lo:hi:count needs lo, hi > 0 and count >= 1")
+        return np.logspace(np.log10(lo), np.log10(hi), cnt)
+    return np.array([_number(option, v) for v in spec.split(",")])
 
 
 def cmd_converge(args) -> int:
@@ -180,11 +205,16 @@ def cmd_converge(args) -> int:
             methods.append(Method("lp", lp_xi_identity=True))
         else:
             raise UsageError(f"unknown method {name!r}")
-    orders = [int(v) for v in args.orders.split(",")]
-    amplitudes = _parse_amplitudes(args.amplitudes)
-    mesh = make_mesh(args.ntst, args.ncol)
-    records = convergence_study(model, ex, methods, orders, amplitudes,
-                                mesh=mesh, k_factor=args.k_factor)
+    orders = [_number("--orders", v, int) for v in args.orders.split(",")]
+    if not all(0 <= o <= 3 for o in orders):
+        raise UsageError("--orders must be in 0..3")
+    amplitudes = _parse_amplitudes("--amplitudes", args.amplitudes)
+    mesh = _mesh(args)
+    try:
+        records = convergence_study(model, ex, methods, orders, amplitudes,
+                                    mesh=mesh, k_factor=args.k_factor)
+    except ValueError as exc:   # an end distance k_factor * eps outside (0, A0)
+        raise UsageError(f"--k-factor or --amplitudes: {exc}") from None
     lines = [ConvergenceRecord.CSV_HEADER] + [r.csv_row() for r in records]
     csv = "\n".join(lines) + "\n"
     if args.out:
@@ -208,7 +238,7 @@ def cmd_compare(args) -> int:
     wrong.K["K03"] = np.zeros(2)
     expansions["orbital-wrongK"] = wrong
 
-    eps_values = _parse_amplitudes(args.eps_range)
+    eps_values = _parse_amplitudes("--eps-range", args.eps_range)
     lines = ["variant,order,eps,alpha1,alpha2"]
     for var, ex in expansions.items():
         for order in (2, 3):

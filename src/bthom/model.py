@@ -9,15 +9,18 @@ Model-file format (UTF-8, line oriented, ``#`` starts a comment)::
     ...
     xn' = <expr>
 
-Expressions support +, -, *, /, ^ (integer powers), parentheses, and the
-functions exp, log, cosh, sinh, tanh, sech, sqrt and psi, where
-psi(x) = x/(exp(x)-1) continued with psi(0) = 1.
+Expressions support +, -, *, /, ^ (powers by integer literals, binding tighter
+than unary minus), parentheses, and the functions exp, log, cosh, sinh, tanh,
+sech, sqrt and psi, where psi(x) = x/(exp(x)-1) continued with psi(0) = 1.
 """
 
 from __future__ import annotations
 
+import ast
+import io
 import itertools
 import math
+import tokenize
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -91,152 +94,74 @@ _FUNCTIONS = {
 
 
 # ---------------------------------------------------------------------------
-# tokenizer / parser
+# expressions
 # ---------------------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+_OPERATORS = {"+", "-", "*", "/", "^", "(", ")"}
+# Name, Attribute, Subscript and Tuple come only from the renaming: np.exp, x[..., i]
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant, ast.Name,
+          ast.Attribute, ast.Subscript, ast.Tuple, ast.Load, ast.Add, ast.Sub, ast.Mult,
+          ast.Div, ast.Pow, ast.USub)
 
 
-def _tokenize(text: str, line: int):
+def _expr_code(text: str, line: int, names: dict) -> str:
+    """The Python code of one right-hand side; any failure is a ParseError on ``line``.
+
+    Python's tokenizer splits ``text`` (columns are 1-based in it).  Names map
+    through _FUNCTIONS or ``names``, ``^`` becomes ``**``, unary plus is dropped
+    and numbers become floats, except an exponent, an int for Jet.__pow__.
+    Python's parser then builds the tree, which may hold only arithmetic,
+    one-argument calls and integer exponents with at most one sign.
+    """
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _OPS:
-            toks.append(("op", c, i + 1))
-            i += 1
-            continue
-        if c.isdigit() or c == ".":
-            j = i
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k
-                    while j < n and text[j].isdigit():
-                        j += 1
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if toks and tok.type == toks[-1].type == tokenize.NUMBER and tok.start == toks[-1].end:
+                last = toks.pop()                       # Python splits 007 into 00 and 7
+                tok = last._replace(string=last.string + tok.string)
+            if tok.string.strip():
+                toks.append(tok)
+    except (tokenize.TokenError, SyntaxError) as exc:     # e.g. an unclosed parenthesis
+        raise ParseError(f"malformed expression ({exc.args[0]})", line) from None
+    out, before = [], ("", "")                          # the two tokens before tok
+    for tok, after in zip(toks, [t.string for t in toks[1:]] + [""]):
+        s, col = tok.string, tok.start[1] + 1
+        if tok.type == tokenize.NAME:
+            table, kind = (_FUNCTIONS, "function") if after == "(" else (names, "identifier")
+            if s not in table:
+                raise ParseError(f"unknown {kind} {s!r}", line, col)
+            out.append(table[s])
+        elif tok.type == tokenize.NUMBER:
             try:
-                val = float(text[i:j])
+                v = float(s)
             except ValueError:
-                raise ParseError(f"bad number {text[i:j]!r}", line, i + 1)
-            toks.append(("num", val, i + 1))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(("ident", text[i:j], i + 1))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, i + 1)
-    return toks
-
-
-class _ExprParser:
-    """Recursive descent over one right-hand-side expression."""
-
-    def __init__(self, toks, line, names):
-        self.toks = toks
-        self.pos = 0
-        self.line = line
-        self.names = names  # identifier -> code fragment
-
-    def _peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def _next(self):
-        t = self._peek()
-        if t is None:
-            raise ParseError("unexpected end of expression", self.line)
-        self.pos += 1
-        return t
-
-    def _expect_op(self, op):
-        t = self._next()
-        if t[0] != "op" or t[1] != op:
-            raise ParseError(f"expected {op!r}, got {t[1]!r}", self.line, t[2])
-
-    def parse(self):
-        node = self._expr()
-        t = self._peek()
-        if t is not None:
-            raise ParseError(f"unexpected trailing token {t[1]!r}", self.line, t[2])
-        return node
-
-    def _expr(self):
-        out = self._term()
-        while (t := self._peek()) and t[0] == "op" and t[1] in "+-":
-            self.pos += 1
-            rhs = self._term()
-            out = f"({out} {t[1]} {rhs})"
-        return out
-
-    def _term(self):
-        out = self._unary()
-        while (t := self._peek()) and t[0] == "op" and t[1] in "*/":
-            self.pos += 1
-            rhs = self._unary()
-            out = f"({out} {t[1]} {rhs})"
-        return out
-
-    def _unary(self):
-        t = self._peek()
-        if t and t[0] == "op" and t[1] in "+-":
-            self.pos += 1
-            rhs = self._unary()
-            return rhs if t[1] == "+" else f"(-{rhs})"
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        t = self._peek()
-        if t and t[0] == "op" and t[1] == "^":
-            self.pos += 1
-            expo = self._exponent()
-            return f"({base} ** {expo})"
-        return base
-
-    def _exponent(self):
-        sign = ""
-        t = self._peek()
-        if t and t[0] == "op" and t[1] in "+-":
-            self.pos += 1
-            sign = t[1]
-            t = self._peek()
-        if t is None or t[0] != "num" or t[1] != int(t[1]):
-            raise ParseError("exponent must be an integer literal", self.line,
-                             t[2] if t else 0)
-        self.pos += 1
-        return f"{sign}{int(t[1])}"
-
-    def _atom(self):
-        t = self._next()
-        if t[0] == "num":
-            return repr(t[1])
-        if t[0] == "op" and t[1] == "(":
-            inner = self._expr()
-            self._expect_op(")")
-            return f"({inner})"
-        if t[0] == "ident":
-            nxt = self._peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "(":
-                if t[1] not in _FUNCTIONS:
-                    raise ParseError(f"unknown function {t[1]!r}", self.line, t[2])
-                self.pos += 1
-                arg = self._expr()
-                self._expect_op(")")
-                return f"{_FUNCTIONS[t[1]]}({arg})"
-            if t[1] not in self.names:
-                raise ParseError(f"unknown identifier {t[1]!r}", self.line, t[2])
-            return self.names[t[1]]
-        raise ParseError(f"unexpected token {t[1]!r}", self.line, t[2])
+                v = math.nan
+            if not math.isfinite(v):
+                raise ParseError(f"bad number {s!r}", line, col)
+            exponent = before[1] == "^" or before[0] == "^" and before[1] in ("+", "-")
+            out.append(str(int(v)) if exponent and v.is_integer() else repr(v))
+        elif tok.type != tokenize.OP or s not in _OPERATORS:
+            raise ParseError(f"unexpected token {s!r}", line, col)
+        elif not (s == "+" and before[1] in ("", "+", "-", "*", "/", "^", "(")):
+            out.append("**" if s == "^" else s)
+        before = (before[1], s)
+    code = " ".join(out)
+    try:
+        tree = ast.parse(code, mode="eval")
+    except (SyntaxError, ValueError) as exc:
+        raise ParseError(f"malformed expression ({exc.args[0]})", line) from None
+    except (RecursionError, MemoryError):
+        raise ParseError("expression too long or nested too deeply", line) from None
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            e = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
+            if not (isinstance(e, ast.Constant) and type(e.value) is int):
+                raise ParseError("exponent must be an integer literal", line)
+        if (not isinstance(node, _NODES) or isinstance(node, ast.Tuple) and not node.elts
+                or isinstance(node, ast.Call) and (len(node.args) != 1 or not isinstance(
+                    node.func, (ast.Name, ast.Attribute)))):
+            raise ParseError("malformed expression", line)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +172,10 @@ class _ExprParser:
 class OdeModel:
     """Parsed n-dimensional vector field with two active parameters.
 
-    Immutable after construction; ``rhs`` holds compiled code strings, one per
-    component, evaluated in a numpy namespace and, for derivatives, in the
-    Taylor-jet namespace of :mod:`bthom.jet`.
+    Immutable after construction; ``rhs`` holds Python code strings, one per
+    component, compiled once and evaluated in a numpy namespace and, for
+    derivatives, in the Taylor-jet namespace of :mod:`bthom.jet`.  Code that
+    does not compile raises :class:`ParseError`, its line the position in rhs.
     """
 
     dim: int
@@ -261,14 +187,16 @@ class OdeModel:
     _jet_fns: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        def compile_rhs(template, ns):
-            return [eval(compile("lambda x, a: " + template % code, f"<{self.name}:x{i+1}'>",
-                                 "eval"), ns) for i, code in enumerate(self.rhs)]
-
-        # values are broadcast to the batch shape here, jets in derivatives()
-        self._component_fns = compile_rhs("(%s) + 0.0*x[..., 0]",
-                                          {"np": np, "_psi": _psi, "_sech": _sech})
-        self._jet_fns = compile_rhs("%s", {"np": jet, "_psi": jet.psi, "_sech": jet.sech})
+        numpy_ns = {"np": np, "_psi": _psi, "_sech": _sech}
+        jet_ns = {"np": jet, "_psi": jet.psi, "_sech": jet.sech}
+        self._component_fns, self._jet_fns = [], []
+        for i, code in enumerate(self.rhs):
+            try:
+                fn = compile("lambda x, a: " + code, f"<{self.name}:x{i+1}'>", "eval")
+            except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+                raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from None
+            self._component_fns.append(eval(fn, numpy_ns))
+            self._jet_fns.append(eval(fn, jet_ns))
 
     def __call__(self, x, alpha):
         return eval_rhs(self, x, alpha)
@@ -332,20 +260,32 @@ def parse_model(text: str, name: str = "model") -> OdeModel:
     for p, v in fixed.items():
         if p in names:
             raise ParseError(f"fixed parameter {p!r} collides with another name", 1)
-        names[p] = repr(v)
+        names[p] = f"({v!r})"
 
     rhs_code = []
     for i in range(1, dim + 1):
         if i not in eqs:
             raise ParseError(f"missing equation for x{i}", len(lines) or 1)
         expr, lineno = eqs[i]
-        rhs_code.append(_ExprParser(_tokenize(expr, lineno), lineno, names).parse())
+        rhs_code.append(_expr_code(expr, lineno, names))
     for idx in eqs:
         if idx < 1 or idx > dim:
             raise ParseError(f"equation for x{idx} outside dim {dim}", eqs[idx][1])
 
     return OdeModel(dim=dim, rhs=rhs_code, active_params=tuple(active),
                     fixed_params=fixed, name=name)
+
+
+def _columns(fns, *args) -> list:
+    """Each component function at ``args``; an arithmetic error names its component."""
+    cols = []
+    with np.errstate(all="ignore"):
+        for i, fn in enumerate(fns):
+            try:
+                cols.append(fn(*args))
+            except ArithmeticError as exc:     # constant subexpressions: 1/0, 10^400
+                raise ModelEvalError(f"{type(exc).__name__}: {exc}", component=i) from None
+    return cols
 
 
 def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
@@ -360,8 +300,8 @@ def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
         raise ModelEvalError(f"state has dimension {x.shape[-1]}, expected {model.dim}")
     if alpha.shape[-1] != 2:
         raise ModelEvalError(f"expected 2 active parameters, got {alpha.shape[-1]}")
-    with np.errstate(all="ignore"):
-        cols = [fn(x, alpha) for fn in model._component_fns]
+    with np.errstate(all="ignore"):     # values broadcast to the batch shape
+        cols = [c + 0.0 * x[..., 0] for c in _columns(model._component_fns, x, alpha)]
     for i, c in enumerate(cols):
         if not np.all(np.isfinite(c)):
             raise ModelEvalError("non-finite value (domain error in expression)", component=i)
@@ -426,8 +366,7 @@ def derivatives(model: OdeModel, x, alpha, order: int = 1) -> list[np.ndarray]:
     dirs, maps = _polarization(n + 2, order)
     variables = [_Variables(Jet(p[..., None, i], dirs[:, i + offset], *[0.0] * (order - 1))
                             for i in range(p.shape[-1])) for p, offset in ((x, 0), (alpha, n))]
-    with np.errstate(all="ignore"):
-        cols = [jet.as_jet(fn(*variables)) for fn in model._jet_fns]
+    cols = [jet.as_jet(c) for c in _columns(model._jet_fns, *variables)]
     coeffs = np.zeros((n, order + 1) + np.broadcast_shapes(x.shape[:-1], alpha.shape[:-1])
                       + (len(dirs),))
     for i, col in enumerate(cols):

@@ -54,6 +54,25 @@ class TestAnalyze:
         assert code == 3
         assert "error" in err
 
+    def test_negative_fixed_parameter_under_even_power(self, capsys, tmp_path):
+        model = tmp_path / "m.txt"
+        model.write_text("dim 2\npar p1 p2\nfix c -1\nx1' = x2\n"
+                         "x2' = p1 + p2*x2 + c^2*x1^2 + x1*x2\n")
+        code, stdout, _ = run(["analyze", "--model", str(model),
+                               "--x0", "0,0", "--alpha0", "0,0"], capsys)
+        assert code == 0
+        assert stdout.startswith("variant orbital: a = 1 ")
+
+    @pytest.mark.parametrize("rhs2", ["x1 +", "x1**2", " + ".join(["x1"] * 3000)],
+                             ids=["truncated", "python-power", "3000-terms"])
+    def test_malformed_model_exits_2(self, rhs2, capsys, tmp_path):
+        model = tmp_path / "m.txt"
+        model.write_text(f"dim 2\npar p1 p2\nx1' = x2\nx2' = {rhs2}\n")
+        code, _, err = run(["analyze", "--model", str(model),
+                            "--x0", "0,0", "--alpha0", "0,0"], capsys)
+        assert code == 2
+        assert err.startswith("model error: line 4")
+
     def test_non_generic_exits_3(self, capsys):
         code, _, err = run(["analyze", "--model", "bt_nf", "--coeff", "a=0"], capsys)
         assert code == 3
@@ -78,14 +97,28 @@ class TestAnalyze:
         ["converge", "--model", "bt_nf", "--methods", "foo"],
         ["analyze", "--model", "bt_nf", "--coeff", "a"],
         ["analyze", "--model", "{user_model}"],
+        ["analyze", "--model", "{tmp}/nosuchfile.ode"],
+        ["analyze", "--model", "bt_nf", "--x0", "abc,0", "--alpha0", "0,0"],
+        ["analyze", "--model", "bt_nf", "--coeff", "a=abc"],
+        ["analyze", "--model", "bt_nf", "--coeff", "zz=1"],
+        ["analyze", "--model", "hh", "--coeff", "a=1"],
+        ["converge", "--model", "bt_nf", "--orders", "5", "--amplitudes", "1e-2",
+         "--ntst", "10"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "1:2"],
+        ["converge", "--model", "bt_nf", "--orders", "1", "--amplitudes", "1e-2",
+         "--ntst", "10", "--k-factor", "5"],
+        ["predict", "--model", "bt_nf", "--ntst", "1"],
+        ["lpseries", "--order", "0"],
     ], ids=["unknown-option", "order-5", "negative-eps", "k-above-amplitude",
             "x0-without-alpha0", "unknown-method", "coeff-without-value",
-            "user-model-without-point"])
+            "user-model-without-point", "missing-model-file", "non-numeric-x0",
+            "non-numeric-coeff", "unknown-coeff", "coeff-for-hh", "orders-5",
+            "two-part-amplitudes", "k-factor-above-one", "ntst-1", "lpseries-order-0"])
     def test_usage_error_exits_2(self, argv, capsys, tmp_path):
         model = tmp_path / "m.txt"
         model.write_text("dim 2\npar p1 p2\nx1' = x2\nx2' = p1 + p2*x2 + x1^2 + x1*x2\n")
         with pytest.raises(SystemExit) as exc:
-            main([arg.format(user_model=model) for arg in argv])
+            main([arg.format(user_model=model, tmp=tmp_path) for arg in argv])
         assert exc.value.code == 2
         assert ": error: " in capsys.readouterr().err.splitlines()[-1]
 

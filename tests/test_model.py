@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bthom.model import (HH_BT_ALPHA, HH_BT_STATE, ModelEvalError,
-                         NonEquilibriumError, ParseError, build_oracle,
+                         NonEquilibriumError, OdeModel, ParseError, build_oracle,
                          builtin_model, derivatives, eval_rhs, parse_model)
+from bthom.nfcoeffs import analyze_bt
 from exact_forms import model_forms, random_cubic_model
 
 TOP_NF = "dim 2\npar b1 b2\nx1' = x2\nx2' = b1 + b2*x2 + x1^2 + x1*x2\n"
@@ -13,6 +14,11 @@ EVERY_FUNCTION = ("dim 2\npar a b\n"
                   "x1' = exp(x1)*log(2 + x2 + a) + sqrt(3 + x1*b) - x2^-2\n"
                   "x2' = cosh(x1)*sinh(x2) + tanh(a - x1)*sech(x2 + b)"
                   " + psi(x1 + x2) + psi(x2 - 4*b)\n")
+
+
+def planar(rhs2: str, head: str = ""):
+    """The planar model x1' = x2, x2' = rhs2 with active parameters p1, p2."""
+    return parse_model(f"dim 2\npar p1 p2\n{head}x1' = x2\nx2' = {rhs2}\n")
 
 
 class TestParsing:
@@ -47,6 +53,61 @@ class TestParsing:
         with pytest.raises(ParseError, match="integer"):
             parse_model("dim 2\npar a b\nx1' = x2\nx2' = x1^1.5\n")
 
+    @pytest.mark.parametrize("rhs2, match", [
+        pytest.param("x1**2", r"col 4: unexpected token '\*\*'", id="python-power"),
+        pytest.param("x1^(2)", "integer", id="parenthesized-exponent"),
+        pytest.param("x1^2^3", "integer", id="chained-power"),
+        pytest.param("x1^--2", "integer", id="two-signed-exponent"),
+        pytest.param("(" * 300 + "x1" + ")" * 300, "too many nested parentheses",
+                     id="300-nested-parentheses"),
+        pytest.param(" + ".join(["x1"] * 3000), "too long or nested too deeply",
+                     id="3000-terms"),
+        pytest.param("x1 + ()", "malformed", id="empty-parentheses"),
+        pytest.param("(x1)(x2)", "malformed", id="call-of-a-state"),
+        pytest.param("exp()", "malformed", id="call-without-argument"),
+        pytest.param("x1 +", "malformed", id="truncated"),
+        pytest.param("(x1", "malformed", id="unclosed-parenthesis"),
+        pytest.param("x1 $ 2", r"col 5: unexpected token '\$'", id="stray-character"),
+        pytest.param("x1, x2", "unexpected token ','", id="comma"),
+        pytest.param("1e400*x1", "bad number '1e400'", id="overflowing-literal"),
+        pytest.param("0x10*x1", "bad number '0x10'", id="hex-literal"),
+    ])
+    def test_rejected_expressions(self, rhs2, match):
+        with pytest.raises(ParseError, match=match) as exc:
+            planar(rhs2)
+        assert exc.value.line == 4
+
+    @pytest.mark.parametrize("rhs2, head, value, slope", [
+        pytest.param("c^2*x1^2", "fix c -1\n", 9.0, 6.0, id="negative-fix-even-power"),
+        pytest.param("c^2", "fix c -2\n", 4.0, 0.0, id="negative-fix-squared"),
+        pytest.param("-c^2", "fix c -2\n", -4.0, 0.0, id="minus-negative-fix-squared"),
+        pytest.param("-x1^2", "", -9.0, -6.0, id="power-binds-tighter-than-minus"),
+        pytest.param(" + ".join(["x1"] * 250), "", 750.0, 250.0, id="250-terms"),
+        pytest.param("-" * 2000 + "x1", "", 3.0, 1.0, id="2000-unary-minus"),
+        pytest.param("- " * 2001 + "x1", "", -3.0, -1.0, id="2001-unary-minus"),
+        pytest.param("lambda*x1", "fix lambda 2\n", 6.0, 2.0, id="keyword-as-fixed-name"),
+        pytest.param("x1^-2", "", 1 / 9, -2 / 27, id="negative-exponent"),
+        pytest.param("x1^+2 + +x1", "", 12.0, 7.0, id="unary-plus"),
+        pytest.param("x1^2.0", "", 9.0, 6.0, id="integral-float-exponent"),
+        pytest.param("x1^02 * 007", "", 63.0, 42.0, id="leading-zeros"),
+    ])
+    def test_accepted_expressions(self, rhs2, head, value, slope):
+        """Values through numpy and d f2/d x1 through the jets, at x1 = 3."""
+        m = planar(rhs2, head)
+        assert eval_rhs(m, [3.0, 0.0], [0.0, 0.0])[1] == pytest.approx(value, rel=1e-15)
+        J = derivatives(m, [3.0, 0.0], [0.0, 0.0])[0]
+        assert J[1, 0] == pytest.approx(slope, rel=1e-15)
+
+    def test_code_that_does_not_compile_names_its_position(self):
+        with pytest.raises(ParseError, match="line 2: code of x2'"):
+            OdeModel(dim=2, rhs=["x[..., 1]", "x[..., 0] +"], active_params=("p1", "p2"),
+                     fixed_params={})
+
+    def test_negative_fixed_parameter_gives_a(self):
+        m = planar("p1 + p2*x2 + c^2*x1^2 + x1*x2", "fix c -1\n")
+        _, ex = analyze_bt(m, [0.0, 0.0], [0.0, 0.0], "orbital")
+        assert ex.a == 1.0
+
     def test_comments_fix_and_functions(self):
         text = ("# comment\ndim 2\npar a b  # active\nfix c 2.5\n"
                 "x1' = c*sech(x2) - 2.5*exp(0*x1)\nx2' = a + b + psi(x1) - 1\n")
@@ -66,6 +127,15 @@ class TestEvaluation:
         m = parse_model("dim 2\npar a b\nx1' = x2\nx2' = 1/x1\n")
         with pytest.raises(ModelEvalError, match="component 2"):
             eval_rhs(m, [0.0, 1.0], [0.0, 0.0])
+
+    @pytest.mark.parametrize("rhs2", ["1/0 + x1", "0^-1 + x1", "2^2000*x1",
+                                      "x1 + p1 + 10^400"])
+    def test_constant_arithmetic_error_reports_component(self, rhs2):
+        m = planar(rhs2)
+        for evaluate in (eval_rhs, derivatives):
+            with pytest.raises(ModelEvalError, match="component 2") as exc:
+                evaluate(m, [1.0, 1.0], [0.0, 0.0])
+            assert exc.value.component == 1
 
     def test_batched_evaluation(self):
         m = parse_model(TOP_NF)
