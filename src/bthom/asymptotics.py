@@ -8,6 +8,10 @@ and its smooth-normal-form counterpart.  Provided are the regular-perturbation
 series under two phase conditions, the polynomial Lindstedt-Poincare series
 (exact-rational and floating), the nonlinear time transform xi(s), the smooth
 normal-form series, and the closed-form log-sech integrals.
+
+The orbital v(0) = 0 series are the smooth ones at the coefficients UNIT; the
+L2 and alternative-gamma phases, the LP recursion (the tests' reference) and
+the time-reparametrization integrals are orbital-only code.
 """
 
 from __future__ import annotations
@@ -62,6 +66,9 @@ GAMMA3_L2 = (264.0 * ZETA3 / 343.0 - 884895199.0 / 7147176750.0
 _ALT_C = (836.0 + 15.0 * math.sqrt(4019.0)) ** (1.0 / 3.0)
 ALT_GAMMA1 = (-4.0 - 59.0 / _ALT_C + _ALT_C) / 35.0
 
+# the orbital oscillator's smooth-normal-form coefficients (a, b, a1, b1, d, e)
+UNIT = (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
+
 
 class PhaseChoice(enum.Enum):
     """Phase condition selecting one representative homoclinic solution."""
@@ -110,31 +117,6 @@ def _udot0_jet(s):
     return t * S * S * 12.0
 
 
-def _u1_vzero(s):
-    t, S, L = tanh(s), sech(s), logcosh(s)
-    return t * S * S * L * (-72.0 / 7.0)
-
-
-def _u2_vzero(s):
-    t, S, L = tanh(s), sech(s), logcosh(s)
-    inner = (S * S * (L * (-32.0) + (L * (L + 2.0)) * 12.0 - 5.0) * 3.0
-             + s * t * (-12.0) - (L - 1.0) * L * 24.0 + 14.0)
-    return S * S * inner * (18.0 / 49.0)
-
-
-def _u3_vzero(s):
-    S, L = sech(s), logcosh(s)
-    sh, sh3 = sinh(s), sinh(s * 3.0)
-    ch, ch3 = cosh(s), cosh(s * 3.0)
-    inner = (sh * (-273.0) + sh3 * 91.0
-             + s * ch3 * (L * 2.0 - 1.0) * 84.0
-             - s * ch * (L * 6.0 - 1.0) * 84.0
-             - sh * L ** 3 * 1232.0 + sh3 * L ** 3 * 112.0
-             + sh * L * L * 2016.0 - sh3 * L * L * 336.0
-             + sh * L * 904.0 - sh3 * L * 104.0)
-    return S ** 5 * inner * (-27.0 / 2401.0)
-
-
 def _u1_l2(s):
     # L2-corrected first order (the gamma_1 shift is already folded in)
     M = logcosh(s) + LN2
@@ -163,7 +145,7 @@ def _u3_l2_raw(s):
 
 def _rp_terms(phase: PhaseChoice):
     if phase is PhaseChoice.VZERO:
-        return (_u0_jet, _u1_vzero, _u2_vzero, _u3_vzero)
+        return (_u0_jet,) + tuple(lambda s, i=i: _smooth_rp_terms(s, UNIT)[i] for i in range(3))
     if phase is PhaseChoice.L2:
         return (_u0_jet, _u1_l2, _u2_l2,
                 lambda s: _u3_l2_raw(s) + _udot0_jet(s) * GAMMA3_L2)
@@ -173,6 +155,8 @@ def _rp_terms(phase: PhaseChoice):
 def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
              order: int = 3):
     """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
+    if phase is PhaseChoice.VZERO:
+        return smooth_orbit(s, eps, UNIT, mode="RP", order=order)
     sj = Jet.variable(s, 1)
     acc = _series([term(sj) for term in _rp_terms(phase)[:order + 1]], eps, order)
     return acc.f, acc.d
@@ -180,10 +164,7 @@ def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
 
 def rp_tau(eps: float, order: int = 3) -> float:
     """tau(eps) = 10/7 + (288/2401) eps^2, truncated below order 2."""
-    tau = 10.0 / 7.0
-    if order >= 2:
-        tau += (288.0 / 2401.0) * eps * eps
-    return tau
+    return smooth_tau(eps, UNIT, order)
 
 
 # ---------------------------------------------------------------------------
@@ -438,23 +419,13 @@ def _lp_uv(u_polys, om, zeta, eps: float, order: int):
 # the nonlinear time transform xi(s)
 # ---------------------------------------------------------------------------
 
-def _xi_terms_vzero(s):
-    t, S, L = tanh(s), sech(s), logcosh(s)
-    xi1 = L * (-6.0 / 7.0)
-    xi2 = s * (-18.0 / 49.0) + t * (45.0 / 98.0) + t * L * (36.0 / 49.0)
-    ch2, sh2 = cosh(s * 2.0), sinh(s * 2.0)
-    xi3 = (S * S * (L * L * (-504.0) - ch2 * L * 276.0 + L * 102.0
-                    + s * sh2 * 252.0 + 546.0) * 3.0) * (1.0 / 4802.0) - 117.0 / 343.0
-    return xi1, xi2, xi3
-
-
 def _xi_terms_altgamma(s):
     # The second-order term needs a -((6/7)g + (3/2)g^2) tanh(s) shift relative
     # to the v(0)=0 phase; with it the third-order closed form is consistent
     # with the omega recursion for the gamma_1-modified family.
     g = ALT_GAMMA1
     t, S, L = tanh(s), sech(s), logcosh(s)
-    xi1, xi2, _ = _xi_terms_vzero(s)
+    xi1, xi2, _ = _smooth_xi_terms(s, UNIT)
     xi2 = xi2 - t * (6.0 * g / 7.0 + 1.5 * g * g)
     xi3 = ((L * (-92.0) + s * t * 84.0 + (49.0 * g * (7.0 * g + 4.0) - 105.0)) * 18.0
            - S * S * (L * (-18.0 * (7.0 * g * (7.0 * g + 4.0) + 9.0))
@@ -468,7 +439,7 @@ def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
             order: int = 3):
     """xi(s) = s + sum_i xi_i(s) eps^i with the phase-appropriate constants."""
     if phase is PhaseChoice.VZERO:
-        terms = _xi_terms_vzero(s)
+        terms = _smooth_xi_terms(s, UNIT)
     elif phase is PhaseChoice.ALTGAMMA:
         terms = _xi_terms_altgamma(s)
     else:

@@ -14,7 +14,7 @@ from .linalg import BorderedSingularError, InconsistentSystemError, NotBTError
 from .model import ModelError, builtin_model, parse_model, HH_BT_STATE, HH_BT_ALPHA
 from .nfcoeffs import NonGenericBTError, analyze_bt
 from .predictor import (Method, NoConvergenceError, make_mesh, sample_predictor,
-                        lift_parameters)
+                        lift_parameters, planar_series)
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
@@ -52,6 +52,9 @@ def _load_model(args):
             return builtin_model(name, **coeffs)
         except (TypeError, ValueError) as exc:      # a coefficient the builtin lacks
             raise UsageError(f"--coeff: {exc}") from None
+    if coeffs:
+        raise UsageError("--coeff applies to the builtin bt_nf model only; "
+                         "a model file sets its constants with 'fix'")
     try:
         with open(name, encoding="utf-8") as fh:
             text = fh.read()
@@ -97,6 +100,13 @@ def _method(args) -> Method:
                   lp_xi_identity=getattr(args, "lp_xi_identity", False))
 
 
+def _check_phase(option: str, expansion, method: Method) -> None:
+    try:
+        planar_series(expansion, method, 0.0, 0.0)
+    except ValueError as exc:      # a phase the series or normal form lacks
+        raise UsageError(f"{option}: {exc}") from None
+
+
 def cmd_analyze(args) -> int:
     model = _load_model(args)
     x0, alpha0 = _bt_point(args, model)
@@ -137,6 +147,7 @@ def cmd_predict(args) -> int:
     model = _load_model(args)
     x0, alpha0 = _bt_point(args, model)
     _, ex = analyze_bt(model, x0, alpha0, args.variant)
+    _check_phase("--phase", ex, method)
     mesh = _mesh(args)
     try:
         pred = sample_predictor(ex, method, args.eps, mesh,
@@ -205,6 +216,7 @@ def cmd_converge(args) -> int:
             methods.append(Method("lp", lp_xi_identity=True))
         else:
             raise UsageError(f"unknown method {name!r}")
+        _check_phase("--methods", ex, methods[-1])
     orders = [_number("--orders", v, int) for v in args.orders.split(",")]
     if not all(0 <= o <= 3 for o in orders):
         raise UsageError("--orders must be in 0..3")

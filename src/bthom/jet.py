@@ -88,10 +88,13 @@ class Jet:
     def __pow__(self, k: int) -> Jet:
         if k < 0:
             return 1.0 / self ** -k
-        out = self if k else Jet(np.ones_like(np.asarray(self.c[0], float)))
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        if k < 2:
+            return self if k else Jet(np.ones_like(np.asarray(self.c[0], float)))
+        # binary powering; x^3 and x^4 stay repeated products, whose rounding
+        # exact zeros of polarized tensors (HH's f_x,alpha,alpha) rest on
+        if k % 2 or k <= 4:
+            return self ** (k - 1) * self
+        return (self ** (k // 2)) ** 2
 
 
 def as_jet(x) -> Jet:

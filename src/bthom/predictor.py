@@ -5,6 +5,9 @@ truncation order; the normal-form variant lives on the CmExpansion.  The lift
 evaluates x = x0 + H(w(eta), beta) on a collocation mesh together with the
 parameter pair alpha = alpha0 + K(beta), the saddle, the half-return time and
 the orientation data needed to start continuation.
+
+All variants share the smooth blow-up (see _smooth_family); the L2 and
+alternative-gamma phases are orbital-only series.
 """
 
 from __future__ import annotations
@@ -127,54 +130,44 @@ class HomPredictor:
 # planar series and blow-up scalings
 # ---------------------------------------------------------------------------
 
-def _smooth_coeffs(expansion: CmExpansion):
-    return (expansion.a, expansion.b, expansion.a1, expansion.b1,
-            expansion.d, expansion.e)
+def _smooth_family(expansion: CmExpansion, eps):
+    """Smooth-family coefficients (a, b, a1, b1, d, e) of a variant and the eps_s
+    its smooth series run at: the orbital one is (a, b, 0, 0, 0, 0) at (a/b) eps."""
+    a, b = expansion.a, expansion.b
+    if expansion.variant is Variant.ORBITAL:
+        return (a, b, 0.0, 0.0, 0.0, 0.0), (a / b) * eps
+    return (a, b, expansion.a1, expansion.b1, expansion.d, expansion.e), eps
 
 
 def planar_series(expansion: CmExpansion, method, eps: float, s):
     """Planar (u, v) of the blown-up oscillator at time s for this variant."""
     m = _as_method(method)
-    if expansion.variant is Variant.ORBITAL:
+    if m.phase is not PhaseChoice.VZERO:
+        if expansion.variant is not Variant.ORBITAL:
+            raise ValueError(f"the {m.phase.value} phase exists for the orbital variant only")
         if m.kind == "rp":
             return asy.rp_orbit(s, eps, m.phase, order=m.order)
         return asy.lp_orbit_of_s(s, eps, m.phase, order=m.order,
                                  xi_identity=m.lp_xi_identity)
-    coeffs = _smooth_coeffs(expansion)
+    coeffs, es = _smooth_family(expansion, eps)
     if m.kind == "rp":
-        return asy.smooth_orbit(s, eps, coeffs, mode="RP", order=m.order)
-    return asy.smooth_orbit_of_s(s, eps, coeffs, order=m.order,
+        return asy.smooth_orbit(s, es, coeffs, mode="RP", order=m.order)
+    return asy.smooth_orbit_of_s(s, es, coeffs, order=m.order,
                                  xi_identity=m.lp_xi_identity)
-
-
-def _tau(expansion: CmExpansion, method, eps: float) -> float:
-    m = _as_method(method)
-    if expansion.variant is Variant.ORBITAL:
-        return asy.rp_tau(eps, order=m.order)
-    return asy.smooth_tau(eps, _smooth_coeffs(expansion), order=m.order)
 
 
 def _beta(expansion: CmExpansion, method, eps):
     """Blow-up: (beta1, beta2) at eps, which may be a Jet."""
-    a, b = expansion.a, expansion.b
-    tau = _tau(expansion, method, eps)
-    if expansion.variant is Variant.ORBITAL:
-        return -4.0 * a ** 3 / b ** 4 * eps ** 4, (a / b) * tau * eps ** 2
-    return -4.0 / a * eps ** 4, (b / a) * tau * eps ** 2
+    coeffs, es = _smooth_family(expansion, eps)
+    tau = asy.smooth_tau(es, coeffs, order=_as_method(method).order)
+    return -4.0 / expansion.a * es ** 4, (expansion.b / expansion.a) * tau * es ** 2
 
 
 def _w_beta(expansion: CmExpansion, method, eps: float, eta):
     """Blow-up: (w0, w1, beta1, beta2) at normal-form time eta."""
-    a, b = expansion.a, expansion.b
-    if expansion.variant is Variant.ORBITAL:
-        u, v = planar_series(expansion, method, eps, (a / b) * eps * np.asarray(eta, float))
-        w0 = (a / b ** 2) * u * eps ** 2
-        w1 = (a ** 2 / b ** 3) * v * eps ** 3
-    else:
-        u, v = planar_series(expansion, method, eps, eps * np.asarray(eta, float))
-        w0 = u / a * eps ** 2
-        w1 = v / a * eps ** 3
-    return (w0, w1) + _beta(expansion, method, eps)
+    es, a = _smooth_family(expansion, eps)[1], expansion.a
+    u, v = planar_series(expansion, method, eps, es * np.asarray(eta, float))
+    return (u / a * es ** 2, v / a * es ** 3) + _beta(expansion, method, eps)
 
 
 def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
@@ -189,38 +182,32 @@ def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# time reparametrization (orbital variant only)
+# time reparametrization
 # ---------------------------------------------------------------------------
 
 def time_reparam(expansion: CmExpansion, method, eps: float, eta):
-    """Original-system time t(eta) with t(0) = 0."""
+    """Original-system time t(eta) with t(0) = 0; eta may be a Jet.
+
+    Only the orbital normal form has theta1000 != 0, so int w0 deta uses its series.
+    """
     m = _as_method(method)
-    if expansion.variant is not Variant.ORBITAL:
-        return np.asarray(eta, float) + 0.0
-    a, b = expansion.a, expansion.b
-    eta = np.asarray(eta, float)
-    tau = asy.rp_tau(eps, order=m.order)
-    lin = eta * (1.0 + expansion.theta0001 * (a / b) * eps ** 2 * tau)
+    if not isinstance(eta, Jet):
+        eta = np.asarray(eta, float)
+    lin = eta * (1.0 + expansion.theta0001 * _beta(expansion, m, eps)[1])
     if expansion.theta1000 == 0.0:
         return lin
-    s = (a / b) * eps * eta
+    es = _smooth_family(expansion, eps)[1]
+    s = es * eta
     if m.kind == "rp":
         integral = asy.rp_int_u(s, eps, order=m.order)
     else:
-        if m.lp_xi_identity:
-            xi = s
-            xi0 = 0.0
-        else:
+        xi, xi0 = s, 0.0
+        if not m.lp_xi_identity:
             xi = asy.xi_of_s(s, eps, m.phase, order=m.order)
             xi0 = asy.xi_of_s(0.0, eps, m.phase, order=m.order)
         integral = (asy.lp_int_u_over_omega(xi, eps, order=m.order)
                     - asy.lp_int_u_over_omega(xi0, eps, order=m.order))
-    return lin + expansion.theta1000 * (1.0 / b) * eps * integral
-
-
-def _dt_deta(expansion: CmExpansion, method, eps: float, eta):
-    w0, _, _, b2 = _w_beta(expansion, method, eps, eta)
-    return 1.0 + expansion.theta1000 * w0 + expansion.theta0001 * b2
+    return lin + expansion.theta1000 * (es / expansion.a) * integral
 
 
 def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 100):
@@ -232,22 +219,20 @@ def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 1
     t = np.asarray(t, float)
     target = t.ravel()
     eta = target + 0.0
-    if expansion.variant is not Variant.ORBITAL or (
-            expansion.theta1000 == 0.0 and expansion.theta0001 == 0.0):
-        return eta.reshape(t.shape)[()]
     tol = 1e-12 * (1.0 + np.abs(target))
     lo = np.full_like(eta, np.nan)     # NaN: no bracket end found yet
     hi = np.full_like(eta, np.nan)
     todo = np.ones(eta.shape, bool)
     for _ in range(max_iter):
-        r = time_reparam(expansion, method, eps, eta) - target
+        tj = time_reparam(expansion, method, eps, Jet.variable(eta, 1))
+        r = tj.f - target
         todo = ~(np.abs(r) <= tol)
         if not todo.any():
             return eta.reshape(t.shape)[()]
         above = r > 0
         hi = np.where(todo & above, np.fmin(hi, eta), hi)
         lo = np.where(todo & ~above, np.fmax(lo, eta), lo)
-        deriv = _dt_deta(expansion, method, eps, eta)
+        deriv = tj.d
         new = eta + np.divide(-r, deriv, out=-r, where=deriv > 1e-12)
         mid = 0.5 * (lo + hi)
         new = np.where(np.isnan(mid) | ((lo < new) & (new < hi)), new, mid)
@@ -264,14 +249,10 @@ def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 1
 def saddle_point(expansion: CmExpansion, method, eps: float) -> np.ndarray:
     """Saddle approximation: the eta -> infinity limit of the lifted orbit."""
     m = _as_method(method)
-    a, b = expansion.a, expansion.b
-    if expansion.variant is Variant.ORBITAL:
-        w0_inf = 2.0 * (a / b ** 2) * eps ** 2
-    else:
-        a1, d = expansion.a1, expansion.d
-        w0_inf = (1.0 / a) * eps ** 2 * (2.0 - (2.0 * (5.0 * a1 * b + 7.0 * d)
-                                                / (7.0 * a ** 2)) * eps ** 2
-                                         * (1.0 if m.order >= 2 else 0.0))
+    (a, b, a1, _, d, _), es = _smooth_family(expansion, eps)
+    w0_inf = (1.0 / a) * es ** 2 * (2.0 - (2.0 * (5.0 * a1 * b + 7.0 * d)
+                                           / (7.0 * a ** 2)) * es ** 2
+                                    * (1.0 if m.order >= 2 else 0.0))
     return expansion.x0 + expansion.H_eval(w0_inf, 0.0, *_beta(expansion, method, eps))
 
 
@@ -291,11 +272,7 @@ def ttol_to_T(k: float, eps: float, A0: float, expansion: CmExpansion,
     """Half-return time from the end-point distance k (TTolerance)."""
     if not 0.0 < k < A0:
         raise ValueError("need 0 < k < A0")
-    a, b = expansion.a, expansion.b
-    if expansion.variant is not Variant.ORBITAL:
-        return (1.0 / eps) * float(np.arccosh(math.sqrt(A0 / k)))
-    arg = (abs(b) / eps) * math.sqrt(k / (6.0 * abs(a)))
-    eta_end = abs((b / a) / eps) * float(np.arccosh(1.0 / arg))
+    eta_end = float(np.arccosh(math.sqrt(A0 / k))) / abs(_smooth_family(expansion, eps)[1])
     return float(time_reparam(expansion, method, eps, eta_end))
 
 
@@ -321,11 +298,7 @@ def sample_predictor(expansion: CmExpansion, method, eps: float,
     m = _as_method(method)
     if mesh is None:
         mesh = make_mesh()
-    a, b = expansion.a, expansion.b
-    if expansion.variant is Variant.ORBITAL:
-        A0 = 6.0 * abs(a) / b ** 2 * eps ** 2
-    else:
-        A0 = 6.0 * eps ** 2 / abs(a)
+    A0 = 6.0 * _smooth_family(expansion, eps)[1] ** 2 / abs(expansion.a)
     if k is None:
         k = eps * 1e-4
     T = ttol_to_T(k, eps, A0, expansion, m)

@@ -88,7 +88,8 @@ def test_criterion_04_gamma_constants():
         val, _ = si.quad(g, 0, 40, limit=300)
         return -(35 / 2592) * val
 
-    assert phase_integral(asy._u1_vzero) == pytest.approx(GAMMA1_L2, abs=1e-8)
+    u1 = asy._rp_terms(PhaseChoice.VZERO)[1]
+    assert phase_integral(u1) == pytest.approx(GAMMA1_L2, abs=1e-8)
     assert phase_integral(asy._u3_l2_raw) == pytest.approx(GAMMA3_L2, abs=1e-8)
     _report(4, "gamma_1 and gamma_3 match direct quadrature of the phase "
                "integral to 1e-8")

@@ -113,7 +113,8 @@ class TestGammaConstants:
         def g(s):
             sj = Jet.variable(np.array([s]))
             base = asy._u0_jet(sj)
-            return float((base.d * (1 - 2 * base.f) * asy._u1_vzero(sj).f)[0])
+            u1 = asy._rp_terms(PhaseChoice.VZERO)[1](sj)
+            return float((base.d * (1 - 2 * base.f) * u1.f)[0])
         val, _ = si.quad(g, 0, 40, limit=200)
         assert -(35 / 2592) * val == pytest.approx(GAMMA1_L2, abs=1e-10)
 
@@ -308,6 +309,18 @@ class TestSmoothNormalForm:
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
         assert smooth_tau(0.3, quad) == rp_tau(0.3)
+
+    def test_unit_polynomials_match_exact_recursion(self):
+        # the orbital LP predictor reads these closed forms, not the recursion
+        _, _, _, om, u = asy._lp_recursion(4, exact=True)
+        for closed, exact in ((asy._smooth_u_polys(asy.UNIT), u),
+                              (asy._smooth_omega_polys(asy.UNIT), om)):
+            assert len(closed) == len(exact) == 4
+            for p, q in zip(closed, exact):
+                n = max(len(p), len(q))
+                p = np.pad(np.asarray(p, float), (0, n - len(p)))
+                q = np.pad([float(c) for c in q], (0, n - len(q)))
+                assert np.max(np.abs(p - q)) <= 1e-15
 
     def test_tau_formula(self):
         a, b, a1, b1, d, e = NF_COEFFS

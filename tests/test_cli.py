@@ -109,11 +109,17 @@ class TestAnalyze:
          "--ntst", "10", "--k-factor", "5"],
         ["predict", "--model", "bt_nf", "--ntst", "1"],
         ["lpseries", "--order", "0"],
+        ["predict", "--model", "bt_nf", "--variant", "smooth", "--phase", "l2"],
+        ["predict", "--model", "bt_nf", "--method", "rp", "--phase", "altgamma"],
+        ["predict", "--model", "bt_nf", "--method", "lp", "--phase", "l2"],
+        ["analyze", "--model", "{user_model}", "--x0", "0,0", "--alpha0", "0,0",
+         "--coeff", "a=5"],
     ], ids=["unknown-option", "order-5", "negative-eps", "k-above-amplitude",
             "x0-without-alpha0", "unknown-method", "coeff-without-value",
             "user-model-without-point", "missing-model-file", "non-numeric-x0",
             "non-numeric-coeff", "unknown-coeff", "coeff-for-hh", "orders-5",
-            "two-part-amplitudes", "k-factor-above-one", "ntst-1", "lpseries-order-0"])
+            "two-part-amplitudes", "k-factor-above-one", "ntst-1", "lpseries-order-0",
+            "smooth-l2", "rp-altgamma", "lp-l2", "coeff-for-model-file"])
     def test_usage_error_exits_2(self, argv, capsys, tmp_path):
         model = tmp_path / "m.txt"
         model.write_text("dim 2\npar p1 p2\nx1' = x2\nx2' = p1 + p2*x2 + x1^2 + x1*x2\n")
@@ -137,6 +143,15 @@ class TestPredict:
             assert key in data
         assert len(data["orbit"]) == 20 * 4 + 1
         assert len(data["orbit"][0]) == 2
+
+
+    @pytest.mark.parametrize("argv", [["--variant", "hyper", "--phase", "altgamma"],
+                                      ["--method", "rp", "--phase", "altgamma"],
+                                      ["--method", "lp", "--phase", "l2"]])
+    def test_missing_phase_names_phase(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            main(["predict", "--model", "bt_nf"] + argv)
+        assert "error: --phase: " in capsys.readouterr().err
 
 
 class TestConverge:

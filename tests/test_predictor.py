@@ -3,6 +3,8 @@ import pytest
 import scipy.optimize as so
 
 from conftest import NF_COEFFS, fit_slope
+from bthom.asymptotics import PhaseChoice, lp_orbit_of_s, rp_orbit, rp_tau
+from bthom.jet import Jet
 from bthom.model import builtin_model, eval_rhs, parse_model
 from bthom.nfcoeffs import analyze_bt
 from bthom.predictor import (Method, NoConvergenceError, amplitude_to_eps,
@@ -55,6 +57,26 @@ class TestLift:
         etas = np.linspace(-4, 4, 17) / s_per_eta
         pts = lift_orbit(ex, LP, eps, etas)
         assert np.array_equal(pts, np.stack([lift_orbit(ex, LP, eps, e) for e in etas]))
+
+    @pytest.mark.parametrize("kind", ["rp", "lp"])
+    def test_orbital_blow_up_is_smooth_family_at_scaled_eps(self, kind, hh_orbital):
+        # the orbital blow-up written out, against the smooth one at (a/b) eps
+        from bthom.predictor import _w_beta
+        _, ex = hh_orbital
+        a, b = ex.a, ex.b
+        assert a / b < 0
+        eps = amplitude_to_eps(1e-2, a, b, ex.variant)
+        eta = np.linspace(-4, 4, 17) / abs((a / b) * eps)
+        s = (a / b) * eps * eta
+        for order in range(4):
+            m = Method(kind, order=order)
+            series = rp_orbit if kind == "rp" else lp_orbit_of_s
+            u, v = series(s, eps, order=order)
+            want = ((a / b ** 2) * u * eps ** 2, (a ** 2 / b ** 3) * v * eps ** 3,
+                    -4.0 * a ** 3 / b ** 4 * eps ** 4,
+                    (a / b) * rp_tau(eps, order=order) * eps ** 2)
+            for got, ref in zip(_w_beta(ex, m, eps, eta), want):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestParameters:
@@ -114,9 +136,14 @@ class TestTimeReparam:
         eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
         ts = np.linspace(-30, 30, 41)
         exact = invert_time(ex, LP, eps, ts)
-        true_slope = pr._dt_deta
-        # a slope 10x too small makes Newton overshoot its bracket
-        monkeypatch.setattr(pr, "_dt_deta", lambda *args: 0.1 * true_slope(*args))
+        true_reparam = pr.time_reparam
+
+        def small_slope(*args):
+            # a slope 10x too small makes Newton overshoot its bracket
+            t = true_reparam(*args)
+            return Jet(t.f, 0.1 * t.d)
+
+        monkeypatch.setattr(pr, "time_reparam", small_slope)
         back = invert_time(ex, LP, eps, ts)
         assert np.max(np.abs(time_reparam(ex, LP, eps, back) - ts)) <= 1e-10
         assert np.max(np.abs(back - exact)) <= 1e-9
@@ -127,8 +154,8 @@ class TestTimeReparam:
         for eta in (-2.0, 0.3, 1.7):
             fd = (time_reparam(ex, RP, eps, eta + h)
                   - time_reparam(ex, RP, eps, eta - h)) / (2 * h)
-            import bthom.predictor as pr
-            assert fd == pytest.approx(float(pr._dt_deta(ex, RP, eps, eta)), rel=1e-6)
+            slope = time_reparam(ex, RP, eps, Jet.variable(eta, 1)).d
+            assert fd == pytest.approx(float(slope), rel=1e-6)
 
 
 class TestSaddle:
@@ -198,6 +225,13 @@ class TestSamplePredictor:
         # endpoint distances are near the requested tolerance
         assert 0.2e-5 < pred.eps0 < 5e-5
         assert 0.2e-5 < pred.eps1 < 5e-5
+
+    @pytest.mark.parametrize("kind, phase", [("rp", PhaseChoice.L2),
+                                             ("lp", PhaseChoice.ALTGAMMA)])
+    def test_orbital_only_phase_on_smooth_is_an_error(self, kind, phase, nf_smooth):
+        _, ex = nf_smooth
+        with pytest.raises(ValueError, match="orbital variant only"):
+            sample_predictor(ex, Method(kind, phase), 0.1)
 
     def test_midpoint_matches_lift_for_symmetric_case(self, bt_nf_orbital):
         _, ex = bt_nf_orbital
