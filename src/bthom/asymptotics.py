@@ -4,14 +4,15 @@ Everything here lives on the blown-up planar oscillator
 
     u'' = -4 + u^2 + eps * u' * (u + tau)           (orbital normal form)
 
-and its smooth-normal-form counterpart.  Provided are the regular-perturbation
-series under two phase conditions, the polynomial Lindstedt-Poincare series
-(exact-rational and floating), the nonlinear time transform xi(s), the smooth
-normal-form series, and the closed-form log-sech integrals.
+and its smooth-normal-form counterpart: the regular-perturbation (RP) and
+Lindstedt-Poincare (LP) series, the time transform xi(s), the integrals of u
+that feed the time reparametrization, the exact-rational LP recursion and the
+closed-form log-sech integrals.
 
-The orbital v(0) = 0 series are the smooth ones at the coefficients UNIT; the
-L2 and alternative-gamma phases, the LP recursion (the tests' reference) and
-the time-reparametrization integrals are orbital-only code.
+Each series is one family keyed by a phase condition and the smooth-normal-form
+coefficients; the orbital oscillator is the family at UNIT.  v(0) = 0 reads the
+smooth closed forms; the L2 (RP) and alternative-gamma (LP) phases exist at
+UNIT only, and L2 is the v(0) = 0 series at a shifted time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import comb
 
 import numpy as np
@@ -46,10 +47,9 @@ __all__ = [
     "lp_orbit_third",
     "xi_of_s",
     "lp_orbit_of_s",
-    "smooth_orbit",
     "smooth_tau",
     "rp_int_u",
-    "lp_int_u_over_omega",
+    "lp_int_u",
 ]
 
 LN2 = 0.6931471805599453094172321214581765680755
@@ -60,6 +60,9 @@ ZETA3 = 1.2020569031595942853997381615114499907650
 GAMMA1_L2 = -(3.0 / 245.0) * (70.0 * LN2 - 59.0)
 GAMMA3_L2 = (264.0 * ZETA3 / 343.0 - 884895199.0 / 7147176750.0
              - 100.0 * math.pi ** 2 / 3087.0 - 1104228.0 * LN2 / 420175.0)
+# The L2 series is the v(0)=0 one at s + sigma, truncated in eps, with the
+# time shift sigma = GAMMA1_L2 eps + SIGMA3_L2 eps^3 (no eps^2 term).
+SIGMA3_L2 = GAMMA3_L2 + (38206980.0 * LN2 - 6634827.0) / 14706125.0
 
 # Alternative Lindstedt-Poincare phase constant: the real root of
 # 12005 g^3 + 4116 g^2 + 2205 g - 252 = 0.
@@ -76,6 +79,13 @@ class PhaseChoice(enum.Enum):
     VZERO = "vzero"        # v(0) = 0, i.e. u'(0) = 0
     L2 = "l2"              # L2-distance minimization (regular perturbation)
     ALTGAMMA = "altgamma"  # alternative LP phase with gamma_1 != 0
+
+
+def _check_family(phase: PhaseChoice, coeffs) -> None:
+    if coeffs[0] == 0 or coeffs[1] == 0:
+        raise ValueError("a and b must be nonzero")
+    if phase is not PhaseChoice.VZERO and tuple(coeffs) != UNIT:
+        raise ValueError(f"the {phase.value} phase exists at the coefficients UNIT only")
 
 
 def _series(terms, eps: float, order: int):
@@ -143,9 +153,11 @@ def _u3_l2_raw(s):
     return S * S * inner * (216.0 / 14706125.0)
 
 
-def _rp_terms(phase: PhaseChoice):
+def _rp_terms(phase: PhaseChoice, coeffs=UNIT):
+    """u_0..u_3 of the regular-perturbation series, each a function of s."""
+    _check_family(phase, coeffs)
     if phase is PhaseChoice.VZERO:
-        return (_u0_jet,) + tuple(lambda s, i=i: _smooth_rp_terms(s, UNIT)[i] for i in range(3))
+        return (_u0_jet,) + tuple(lambda s, i=i: _smooth_rp_terms(s, coeffs)[i] for i in range(3))
     if phase is PhaseChoice.L2:
         return (_u0_jet, _u1_l2, _u2_l2,
                 lambda s: _u3_l2_raw(s) + _udot0_jet(s) * GAMMA3_L2)
@@ -153,12 +165,14 @@ def _rp_terms(phase: PhaseChoice):
 
 
 def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-             order: int = 3):
+             order: int = 3, coeffs=UNIT):
     """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
-    if phase is PhaseChoice.VZERO:
-        return smooth_orbit(s, eps, UNIT, mode="RP", order=order)
-    sj = Jet.variable(s, 1)
-    acc = _series([term(sj) for term in _rp_terms(phase)[:order + 1]], eps, order)
+    terms, sj = _rp_terms(phase, coeffs), Jet.variable(s, 1)
+    if phase is PhaseChoice.VZERO:   # u_1..u_3 from one evaluation
+        acc = _series((_u0_jet(sj),) + (_smooth_rp_terms(sj, coeffs) if order else ()),
+                      eps, order)
+    else:
+        acc = _series([term(sj) for term in terms[:order + 1]], eps, order)
     return acc.f, acc.d
 
 
@@ -379,39 +393,38 @@ def lp_solve_quadratic(order: int) -> LpSeries:
 
 @lru_cache(maxsize=None)
 def _lp_float_series(phase: PhaseChoice, order: int = 4):
-    """Floating u_i / omega_i polynomial coefficients through eps^3."""
-    if phase is PhaseChoice.VZERO:
-        gamma = None
-    elif phase is PhaseChoice.ALTGAMMA:
-        gamma = [0.0, ALT_GAMMA1, 0.0, 0.0]
-    else:
-        raise ValueError("the Lindstedt-Poincare series supports the VZERO "
-                         "and ALTGAMMA phases only (L2 is a regular-perturbation concept)")
+    """Floating tau_i and u_i / omega_i polynomial coefficients through eps^3."""
+    gamma = [0.0, ALT_GAMMA1, 0.0, 0.0] if phase is PhaseChoice.ALTGAMMA else None
     tau, _, _, om, u_polys = _lp_recursion(order, gamma=gamma, exact=False)
     return tuple(float(t) for t in tau), tuple(tuple(map(float, p)) for p in u_polys), \
         tuple(tuple(map(float, p)) for p in om)
 
 
+def _lp_parts(phase: PhaseChoice, coeffs=UNIT):
+    """The u_i(zeta) and omega_i(zeta) polynomials and the xi_i(s) terms of an
+    LP series, i = 0..3 for the polynomials and 1..3 for xi."""
+    _check_family(phase, coeffs)
+    if phase is PhaseChoice.VZERO:
+        return (_smooth_u_polys(coeffs), _smooth_omega_polys(coeffs),
+                partial(_smooth_xi_terms, coeffs=coeffs))
+    if phase is PhaseChoice.ALTGAMMA:
+        return _lp_float_series(phase)[1:] + (_xi_terms_altgamma,)
+    raise ValueError("LP supports the VZERO and ALTGAMMA phases only; L2 is an RP phase")
+
+
 def lp_orbit_third(zeta, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-                   order: int = 3):
-    """Third-order LP orbit (u, v) as a function of the transformed time zeta."""
-    _, u_polys, om = _lp_float_series(phase)
-    return _lp_uv(u_polys, om, zeta, eps, order)
-
-
-def _lp_uv(u_polys, om, zeta, eps: float, order: int):
-    """LP orbit (u, v) from the polynomials u_i(zeta) and omega_i(zeta).
+                   order: int = 3, coeffs=UNIT):
+    """Third-order LP orbit (u, v) as a function of the transformed time zeta.
 
     v = (1 - zeta^2) omega(zeta) u'(zeta), truncated at eps^order like u.
     """
+    u_polys, om, _ = _lp_parts(phase, coeffs)
     zeta = np.asarray(zeta, float)
     order = min(order, 3)
     u_i = [_peval(p, Jet.variable(zeta, 1)) for p in u_polys[:order + 1]]
     om_i = [_peval(p, zeta) for p in om[:order + 1]]
-    v = np.zeros_like(zeta)
-    for i in range(order + 1):
-        for j in range(order + 1 - i):
-            v = v + om_i[i] * u_i[j].d * eps ** (i + j)
+    v = sum(om_i[i] * u_i[j].d * eps ** (i + j)
+            for i in range(order + 1) for j in range(order + 1 - i))
     return _series([u.f for u in u_i], eps, order), (1.0 - zeta * zeta) * v
 
 
@@ -436,30 +449,21 @@ def _xi_terms_altgamma(s):
 
 
 def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-            order: int = 3):
+            order: int = 3, coeffs=UNIT):
     """xi(s) = s + sum_i xi_i(s) eps^i with the phase-appropriate constants."""
-    if phase is PhaseChoice.VZERO:
-        terms = _smooth_xi_terms(s, UNIT)
-    elif phase is PhaseChoice.ALTGAMMA:
-        terms = _xi_terms_altgamma(s)
-    else:
-        raise ValueError("xi(s) exists for the VZERO and ALTGAMMA phases only")
-    acc = _series((as_jet(s),) + terms, eps, order)
+    acc = _series((as_jet(s),) + _lp_parts(phase, coeffs)[2](s), eps, order)
     return acc if isinstance(s, Jet) else acc.f
 
 
 def lp_orbit_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-                  order: int = 3, xi_identity: bool = False):
+                  order: int = 3, xi_identity: bool = False, coeffs=UNIT):
     """LP orbit (u, v) as a function of the original time s.
 
     With ``xi_identity`` the higher-order time transform is dropped (xi = s),
     which reproduces the historical predictor that loses the uniform accuracy.
     """
-    if xi_identity:
-        xi = np.asarray(s, float)
-    else:
-        xi = xi_of_s(s, eps, phase, order)
-    return lp_orbit_third(np.tanh(xi), eps, phase, order)
+    xi = np.asarray(s, float) if xi_identity else xi_of_s(s, eps, phase, order, coeffs)
+    return lp_orbit_third(np.tanh(xi), eps, phase, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -545,69 +549,88 @@ def _smooth_rp_terms(s, coeffs):
     return u1, u2, u3
 
 
-def smooth_orbit(s_or_zeta, eps: float, coeffs, mode: str = "LP",
-                 order: int = 3):
-    """Smooth normal-form homoclinic orbit (u, v).
-
-    mode 'LP' takes zeta as the argument and evaluates the LP series in zeta;
-    mode 'RP' takes the time s and evaluates the regular-perturbation series.
-    """
-    a, b = coeffs[0], coeffs[1]
-    if a == 0 or b == 0:
-        raise ValueError("a and b must be nonzero")
-    order = min(order, 3)
-    if mode.upper() == "RP":
-        sj = Jet.variable(s_or_zeta, 1)
-        acc = _series((_u0_jet(sj),) + _smooth_rp_terms(sj, coeffs), eps, order)
-        return acc.f, acc.d
-    if mode.upper() != "LP":
-        raise ValueError("mode must be 'RP' or 'LP'")
-    return _lp_uv(_smooth_u_polys(coeffs), _smooth_omega_polys(coeffs), s_or_zeta,
-                  eps, order)
-
-
-def smooth_orbit_of_s(s, eps: float, coeffs, order: int = 3,
-                      xi_identity: bool = False):
-    """Smooth-normal-form LP orbit as a function of the time s."""
-    if xi_identity:
-        xi = np.asarray(s, float)
-    else:
-        xi = smooth_xi_of_s(s, eps, coeffs, order)
-    return smooth_orbit(np.tanh(xi), eps, coeffs, mode="LP", order=order)
-
-
-def smooth_xi_of_s(s, eps: float, coeffs, order: int = 3):
-    sj = as_jet(s)
-    return _series((sj,) + _smooth_xi_terms(sj, coeffs), eps, order).f
-
-
 # ---------------------------------------------------------------------------
-# antiderivatives feeding the orbital time reparametrization
+# integrals of u feeding the orbital time reparametrization
 # ---------------------------------------------------------------------------
 
-def rp_int_u(s, eps: float, order: int = 3):
-    """int u ds for the regular-perturbation orbit, anchored so t(0) = 0."""
+def _rp_int_terms(s):
+    """U_0..U_3 = int_0^s of the v(0)=0 regular-perturbation terms."""
     t, S, L = tanh(s), sech(s), logcosh(s)
     sh, ch = sinh(s), cosh(s)
     ch2, sh2, ch4 = cosh(s * 2.0), sinh(s * 2.0), cosh(s * 4.0)
-    acc = _series([
+    return [
         (s - t * 3.0) * 2.0,
         S * S * (ch2 - L * 4.0 - 1.0) * (-9.0 / 7.0),
         S ** 3 * (sh * (ch2 - L * L * 12.0 + 6.0) * 2.0 - s * ch * 12.0) * (-9.0 / 49.0),
         S ** 4 * (ch4 + ch2 * (L ** 3 * (-112.0) + L * L * 168.0 + L * 188.0 + 7.0)
                   + (L ** 3 * 28.0 - L * L * 21.0 - L * 29.0
                      - s * sh2 * L * 21.0 - 1.0) * 8.0) * (-27.0 / 2401.0),
-    ], eps, order)
-    return acc.f if not isinstance(s, Jet) else acc
+    ]
 
 
-def lp_int_u_over_omega(xi, eps: float, order: int = 3):
-    """int u_hat / omega d(xi) for the LP orbit (not anchored)."""
-    t, S, L = tanh(xi), sech(xi), logcosh(xi)
-    acc = _series([
-        xi * 2.0 - t * 6.0,
-        S * S * (18.0 / 7.0) + L * (12.0 / 7.0),
-        (xi * 4.0 - t * 9.0 + t * S * S * 5.0) * (9.0 / 49.0),
-        (S ** 4 * (-21.0) + S * S * 47.0 + L * 8.0) * (18.0 / 2401.0),
-    ], eps, order)
-    return acc.f if not isinstance(xi, Jet) else acc
+@lru_cache(maxsize=8)
+def _l2_drift(eps: float, order: int):
+    """The jet function of D(s) = sum_i eps^i (U_i(s + sigma) - U_i(s)) at eps,
+    truncated at eps^order (1..3), and D(0); sigma is the L2 time shift.
+
+    As U(s + sigma) integrates the L2 orbit, D(s) = U_L2(s) - U_L2(s - sigma)
+    with U_L2' = sum_i eps^i u_i, u_i the L2 terms.
+    """
+    sigma = -Jet(*(0.0, GAMMA1_L2, 0.0, SIGMA3_L2)[:order + 1])
+    # w[i][j] = eps^i (-sigma)^j at eps, with (-sigma)^j truncated at eps^(order - i)
+    w = [[eps ** i * _series((sigma ** j).c, eps, order - i) for j in range(order - i + 1)]
+         for i in range(order)]
+
+    @elementary
+    def drift(x0, K):
+        # u_i to derivative order - 1 - i, as sigma^j is O(eps^j); U_i's Taylor
+        # coefficients are c[n] = u_i.c[n - 1] / n
+        u = [f(Jet.variable(x0, K + order - 1 - i))
+             for i, f in enumerate(_rp_terms(PhaseChoice.L2)[:order])]
+        return [-sum(w[i][j] * comb(k + j, k) / (k + j) * f.c[k + j - 1]
+                     for i, f in enumerate(u) for j in range(1, order - i + 1))
+                for k in range(K + 1)]
+    return drift, drift(0.0).f
+
+
+def rp_int_u(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3):
+    """int_0^s u ds of the regular-perturbation orbit at UNIT, truncated at eps^order;
+    the L2 orbit is the v(0)=0 one at s + sigma, so its integral adds D(s) - D(0)."""
+    if phase not in (PhaseChoice.VZERO, PhaseChoice.L2):
+        raise ValueError("regular perturbation supports the VZERO and L2 phases only")
+    acc = _series(_rp_int_terms(s), eps, order)
+    if phase is PhaseChoice.L2 and order:
+        drift, at0 = _l2_drift(eps, order)
+        acc = acc + drift(s) - at0
+    return acc if isinstance(s, Jet) else acc.f
+
+
+@lru_cache(maxsize=None)
+def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
+    """(int_0 q, c0, c1) per eps^k, where the eps^k term of u / omega (of u when
+    xi = s) is q(zeta) (1 - zeta^2) + c1 zeta + c0."""
+    u, om, _ = _lp_parts(phase)
+    om = [[1.0]] + [[0.0]] * 3 if xi_identity else om
+    y, parts = [], []                       # y: u / omega as a series in eps
+    for k in range(order + 1):              # y_k = u_k - sum_m omega_m y_(k-m)
+        y.append(reduce(_padd, [_pscale(_pmul(om[m], y[k - m]), -1.0)
+                                for m in range(1, k + 1)], list(u[k])))
+        at1, at_m1 = _peval(y[k], 1.0), _peval(y[k], -1.0)
+        c0, c1 = (at1 + at_m1) / 2.0, (at1 - at_m1) / 2.0
+        q = _pdivexact(_padd(y[k], [-c0, -c1]), [1.0, 0.0, -1.0], exact=False)
+        parts.append((_pinteg(q), c0, c1))
+    return tuple(parts)
+
+
+def lp_int_u(xi, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3,
+             xi_identity: bool = False):
+    """int u ds of the LP orbit at UNIT as a function of xi, zero at xi = 0.
+
+    u ds is (u / omega) dxi, or u dxi when xi = s.  With zeta = tanh(xi),
+    dzeta = (1 - zeta^2) dxi, so the eps^k term q(zeta) (1 - zeta^2) + c1 zeta + c0
+    of the integrand integrates to int_0^zeta q + c0 xi + c1 log cosh xi.
+    """
+    zeta, L = tanh(xi), logcosh(xi)
+    parts = _lp_int_parts(phase, min(order, 3), xi_identity)
+    acc = _series([_peval(Q, zeta) + L * c1 + xi * c0 for Q, c0, c1 in parts], eps, order)
+    return acc if isinstance(xi, Jet) else acc.f

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 
 from .asymptotics import PhaseChoice, lp_solve_quadratic
-from .corrector import convergence_study, ConvergenceRecord
+from .corrector import convergence_study, ConvergenceRecord, _method_label
 from .linalg import BorderedSingularError, InconsistentSystemError, NotBTError
 from .model import ModelError, builtin_model, parse_model, HH_BT_STATE, HH_BT_ALPHA
 from .nfcoeffs import NonGenericBTError, analyze_bt
@@ -22,6 +22,11 @@ EXIT_NUMERIC = 3
 _BUILTIN_POINTS = {
     "hh": (HH_BT_STATE, HH_BT_ALPHA),
 }
+
+# --methods names, as the study CSV writes them
+_METHODS = {_method_label(m): m for m in (
+    Method("rp"), Method("rp", PhaseChoice.L2), Method("lp"),
+    Method("lp", PhaseChoice.ALTGAMMA), Method("lp", lp_xi_identity=True))}
 
 
 class UsageError(Exception):
@@ -37,6 +42,20 @@ def _number(option: str, text: str, kind=float):
         return kind(text)
     except ValueError:
         raise UsageError(f"bad {option} value {text!r}") from None
+
+
+def _emit(path, text: str, note: str | None = None) -> None:
+    """Print text, or write it to path and print note; an unwritable path is a usage error."""
+    if not path:
+        print(text, end="")
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write output: {exc}") from None
+    if note:
+        print(note)
 
 
 def _load_model(args):
@@ -131,12 +150,7 @@ def cmd_analyze(args) -> int:
                   f"d = {_fmt(ex.d)}  e = {_fmt(ex.e)}")
         print(f"  max bordered-solve residual: {_fmt(ex.max_solve_residual)}")
     if args.coeffs or args.out:
-        payload = json.dumps(out, indent=2, sort_keys=True)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        else:
-            print(payload)
+        _emit(args.out, json.dumps(out, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -154,12 +168,7 @@ def cmd_predict(args) -> int:
                                 k=args.k if args.k is not None else args.eps * 1e-4)
     except ValueError as exc:   # the end distance k is outside (0, A0)
         raise UsageError(f"--k: {exc}") from None
-    payload = json.dumps(pred.as_dict(), indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    _emit(args.out, json.dumps(pred.as_dict(), indent=2) + "\n")
     return 0
 
 
@@ -174,16 +183,9 @@ def cmd_lpseries(args) -> int:
         lines.append(f"{i},{tau},{sig}")
     csv = "\n".join(lines) + "\n"
     omega = {f"omega{i}": [str(c) for c in p] for i, p in enumerate(series.omega)}
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-        side = args.out.rsplit(".", 1)[0] + ".json"
-        with open(side, "w", encoding="utf-8") as fh:
-            json.dump(omega, fh, indent=2)
-        print(f"wrote {args.out} and {side}")
-    else:
-        print(csv, end="")
-        print(json.dumps(omega, indent=2))
+    side = args.out and args.out.rsplit(".", 1)[0] + ".json"
+    _emit(args.out, csv)
+    _emit(side, json.dumps(omega, indent=2) + "\n", f"wrote {args.out} and {side}")
     return 0
 
 
@@ -202,20 +204,10 @@ def cmd_converge(args) -> int:
     x0, alpha0 = _bt_point(args, model)
     _, ex = analyze_bt(model, x0, alpha0, args.variant)
     methods = []
-    for name in args.methods.split(","):
-        name = name.strip()
-        if name == "rp":
-            methods.append(Method("rp"))
-        elif name == "rp-l2":
-            methods.append(Method("rp", phase=PhaseChoice.L2))
-        elif name == "lp":
-            methods.append(Method("lp"))
-        elif name == "lp-alt":
-            methods.append(Method("lp", phase=PhaseChoice.ALTGAMMA))
-        elif name == "lp-xid":
-            methods.append(Method("lp", lp_xi_identity=True))
-        else:
+    for name in map(str.strip, args.methods.split(",")):
+        if name not in _METHODS:
             raise UsageError(f"unknown method {name!r}")
+        methods.append(_METHODS[name])
         _check_phase("--methods", ex, methods[-1])
     orders = [_number("--orders", v, int) for v in args.orders.split(",")]
     if not all(0 <= o <= 3 for o in orders):
@@ -228,13 +220,7 @@ def cmd_converge(args) -> int:
     except ValueError as exc:   # an end distance k_factor * eps outside (0, A0)
         raise UsageError(f"--k-factor or --amplitudes: {exc}") from None
     lines = [ConvergenceRecord.CSV_HEADER] + [r.csv_row() for r in records]
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-        print(f"wrote {args.out} ({len(records)} rows)")
-    else:
-        print(csv, end="")
+    _emit(args.out, "\n".join(lines) + "\n", f"wrote {args.out} ({len(records)} rows)")
     return 0
 
 
@@ -257,13 +243,7 @@ def cmd_compare(args) -> int:
             for eps in eps_values:
                 al = lift_parameters(ex, Method("lp", order=order), float(eps))
                 lines.append(f"{var},{order},{_fmt(float(eps))},{_fmt(al[0])},{_fmt(al[1])}")
-    csv = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv)
-        print(f"wrote {args.out}")
-    else:
-        print(csv, end="")
+    _emit(args.out, "\n".join(lines) + "\n", f"wrote {args.out}")
     return 0
 
 
@@ -303,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_point_args(p)
     p.add_argument("--variant", default="orbital", choices=["orbital", "smooth", "hyper"])
     p.add_argument("--methods", default="rp,lp",
-                   help="comma list from rp, rp-l2, lp, lp-alt, lp-xid")
+                   help="comma list from " + ", ".join(_METHODS))
     p.add_argument("--orders", default="0,1,2,3")
     p.add_argument("--amplitudes", default="1e-3:1e-1:8",
                    help="lo:hi:count (log-spaced) or comma list")

@@ -19,6 +19,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
+from .asymptotics import PhaseChoice
 from .model import ModelError, OdeModel, derivatives, eval_rhs
 from .nfcoeffs import CmExpansion
 from .predictor import (HomPredictor, Mesh, NoConvergenceError, amplitude_to_eps,
@@ -647,13 +648,12 @@ class ConvergenceRecord:
                 f"{self.iterations},{int(self.converged)}")
 
 
+_PHASE_LABELS = {PhaseChoice.VZERO: "", PhaseChoice.L2: "-l2", PhaseChoice.ALTGAMMA: "-alt"}
+
+
 def _method_label(m: Method) -> str:
-    label = m.kind
-    if m.phase.value != "vzero":
-        label += "-" + m.phase.value
-    if m.lp_xi_identity:
-        label += "-xid"
-    return label
+    """The method's name in the CLI and the study CSV: rp, rp-l2, lp, lp-alt, lp-xid."""
+    return m.kind + _PHASE_LABELS[m.phase] + ("-xid" if m.lp_xi_identity else "")
 
 
 def convergence_study(model: OdeModel, expansion: CmExpansion, methods,

@@ -7,7 +7,7 @@ parameter pair alpha = alpha0 + K(beta), the saddle, the half-return time and
 the orientation data needed to start continuation.
 
 All variants share the smooth blow-up (see _smooth_family); the L2 and
-alternative-gamma phases are orbital-only series.
+alternative-gamma phases are orbital-only series, run at (UNIT, eps).
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class Method:
             raise ValueError("method kind must be 'rp' or 'lp'")
         if not 0 <= self.order <= 3:
             raise ValueError("order must be in 0..3")
+        if self.lp_xi_identity and self.kind != "lp":
+            raise ValueError("lp_xi_identity applies to the lp method only")
 
 
 def _as_method(method) -> Method:
@@ -142,18 +144,14 @@ def _smooth_family(expansion: CmExpansion, eps):
 def planar_series(expansion: CmExpansion, method, eps: float, s):
     """Planar (u, v) of the blown-up oscillator at time s for this variant."""
     m = _as_method(method)
+    coeffs, es = _smooth_family(expansion, eps)
     if m.phase is not PhaseChoice.VZERO:
         if expansion.variant is not Variant.ORBITAL:
             raise ValueError(f"the {m.phase.value} phase exists for the orbital variant only")
-        if m.kind == "rp":
-            return asy.rp_orbit(s, eps, m.phase, order=m.order)
-        return asy.lp_orbit_of_s(s, eps, m.phase, order=m.order,
-                                 xi_identity=m.lp_xi_identity)
-    coeffs, es = _smooth_family(expansion, eps)
+        coeffs, es = asy.UNIT, eps
     if m.kind == "rp":
-        return asy.smooth_orbit(s, es, coeffs, mode="RP", order=m.order)
-    return asy.smooth_orbit_of_s(s, es, coeffs, order=m.order,
-                                 xi_identity=m.lp_xi_identity)
+        return asy.rp_orbit(s, es, m.phase, m.order, coeffs)
+    return asy.lp_orbit_of_s(s, es, m.phase, m.order, m.lp_xi_identity, coeffs)
 
 
 def _beta(expansion: CmExpansion, method, eps):
@@ -188,7 +186,8 @@ def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
 def time_reparam(expansion: CmExpansion, method, eps: float, eta):
     """Original-system time t(eta) with t(0) = 0; eta may be a Jet.
 
-    Only the orbital normal form has theta1000 != 0, so int w0 deta uses its series.
+    dt/deta = theta(w0, beta2).  Only the orbital normal form has theta1000 != 0,
+    so int w0 deta integrates the series it lifts, at (UNIT, eps).
     """
     m = _as_method(method)
     if not isinstance(eta, Jet):
@@ -199,14 +198,10 @@ def time_reparam(expansion: CmExpansion, method, eps: float, eta):
     es = _smooth_family(expansion, eps)[1]
     s = es * eta
     if m.kind == "rp":
-        integral = asy.rp_int_u(s, eps, order=m.order)
-    else:
-        xi, xi0 = s, 0.0
-        if not m.lp_xi_identity:
-            xi = asy.xi_of_s(s, eps, m.phase, order=m.order)
-            xi0 = asy.xi_of_s(0.0, eps, m.phase, order=m.order)
-        integral = (asy.lp_int_u_over_omega(xi, eps, order=m.order)
-                    - asy.lp_int_u_over_omega(xi0, eps, order=m.order))
+        integral = asy.rp_int_u(s, eps, m.phase, m.order)
+    else:   # xi(0) = 0, where the integral vanishes
+        xi = s if m.lp_xi_identity else asy.xi_of_s(s, eps, m.phase, m.order)
+        integral = asy.lp_int_u(xi, eps, m.phase, m.order, m.lp_xi_identity)
     return lin + expansion.theta1000 * (es / expansion.a) * integral
 
 

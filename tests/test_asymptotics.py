@@ -5,11 +5,11 @@ import pytest
 import scipy.integrate as si
 
 import bthom.asymptotics as asy
-from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, In_closed,
+from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, SIGMA3_L2, In_closed,
                                In_closed_parts, PhaseChoice,
                                lp_orbit_of_s, lp_orbit_third,
                                lp_solve_quadratic, rp_orbit, rp_tau,
-                               smooth_orbit, smooth_tau, u0, xi_of_s)
+                               smooth_tau, u0, xi_of_s)
 from bthom.jet import Jet, tanh
 from conftest import NF_COEFFS, fit_slope
 
@@ -106,6 +106,34 @@ class TestRegularPerturbation:
     def test_altgamma_not_supported(self):
         with pytest.raises(ValueError):
             rp_orbit(0.0, 0.1, PhaseChoice.ALTGAMMA)
+
+    @pytest.mark.parametrize("order", range(4))
+    def test_l2_is_the_shifted_vzero_series(self, order):
+        """u_L2(s) = u_VZERO(s + GAMMA1_L2 eps + SIGMA3_L2 eps^3), truncated in eps;
+        this pins SIGMA3_L2 and the vanishing eps^2 shift."""
+        s = np.linspace(-8, 8, 161)
+        sj = Jet.variable(s, order + 1)
+        c = [f(sj).c for f in asy._rp_terms(PhaseChoice.VZERO)]    # Taylor in s
+        e = Jet.variable(0.0, order)                                # eps, formally
+        sigma = e * GAMMA1_L2 + e ** 3 * SIGMA3_L2
+        u_e = sum(e ** i * c[i][k] * sigma ** k
+                  for i in range(order + 1) for k in range(order + 1))
+        ud_e = sum(e ** i * (c[i][k + 1] * (k + 1)) * sigma ** k
+                   for i in range(order + 1) for k in range(order + 1))
+        for eps in (0.3, 0.1, 0.05):
+            u, ud = rp_orbit(s, eps, PhaseChoice.L2, order)
+            assert np.max(np.abs(asy._series(u_e.c, eps, order) - u)) <= 1e-14
+            assert np.max(np.abs(asy._series(ud_e.c, eps, order) - ud)) <= 1e-14
+
+    @pytest.mark.parametrize("phase", [PhaseChoice.VZERO, PhaseChoice.L2])
+    def test_integral_of_u(self, phase):
+        s = np.linspace(-8, 8, 161)
+        for order in range(4):
+            for eps in (0.3, 0.1):
+                integral = asy.rp_int_u(Jet.variable(s, 1), eps, phase, order)
+                u, _ = rp_orbit(s, eps, phase, order)
+                assert np.max(np.abs(integral.d - u)) <= 1e-14
+                assert asy.rp_int_u(0.0, eps, phase, order) == 0.0
 
 
 class TestGammaConstants:
@@ -300,11 +328,17 @@ class TestXi:
 class TestSmoothNormalForm:
     def test_specializes_to_quadratic_case(self):
         quad = (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        u1, v1 = smooth_orbit(0.4, 0.1, quad, mode="LP")
-        u2, v2 = lp_orbit_third(0.4, 0.1)
+        u1, v1 = lp_orbit_third(0.4, 0.1, coeffs=quad)
+        # the floating LP recursion, v = (1 - z^2) omega(z) u'(z)
+        _, u_p, om = asy._lp_float_series(PhaseChoice.VZERO)
+        z, e = 0.4, 0.1
+        u2 = sum(asy._peval(list(u_p[i]), z) * e ** i for i in range(4))
+        v2 = (1 - z * z) * sum(asy._peval(list(om[i]), z)
+                               * asy._peval(asy._pderiv(list(u_p[j])), z) * e ** (i + j)
+                               for i in range(4) for j in range(4 - i))
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
-        u1, v1 = smooth_orbit(1.3, 0.1, quad, mode="RP")
+        u1, v1 = rp_orbit(1.3, 0.1, coeffs=quad)
         u2, v2 = rp_orbit(1.3, 0.1)
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
@@ -365,8 +399,8 @@ class TestSmoothNormalForm:
         assert fit_slope(EPS_GRID, res) >= 3.7
 
     def test_smooth_xi_anchored_at_zero(self):
-        assert abs(asy.smooth_xi_of_s(0.0, 0.2, NF_COEFFS)) < 1e-14
+        assert abs(xi_of_s(0.0, 0.2, coeffs=NF_COEFFS)) < 1e-14
 
     def test_requires_nonzero_ab(self):
         with pytest.raises(ValueError):
-            smooth_orbit(0.1, 0.1, (0.0, 1.0, 0, 0, 0, 0))
+            rp_orbit(0.1, 0.1, coeffs=(0.0, 1.0, 0, 0, 0, 0))

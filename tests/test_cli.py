@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bthom.cli import main
+from bthom.cli import _parse_amplitudes, main
 from bthom.linalg import BorderedSingularError, InconsistentSystemError
 from bthom.predictor import NoConvergenceError
 
@@ -114,12 +114,24 @@ class TestAnalyze:
         ["predict", "--model", "bt_nf", "--method", "lp", "--phase", "l2"],
         ["analyze", "--model", "{user_model}", "--x0", "0,0", "--alpha0", "0,0",
          "--coeff", "a=5"],
+        ["analyze", "--model", "bt_nf", "--out", "{tmp}/missing/a.json"],
+        ["predict", "--model", "bt_nf", "--ntst", "10", "--out", "{tmp}/missing/p.json"],
+        ["lpseries", "--order", "3", "--out", "{tmp}/missing/lp.csv"],
+        ["converge", "--model", "bt_nf", "--orders", "0", "--amplitudes", "1e-2",
+         "--ntst", "10", "--out", "{tmp}/missing/c.csv"],
+        ["compare", "--model", "bt_nf", "--eps-range", "0.1", "--out", "{tmp}/missing/k.csv"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "1e-3:1e-1:x"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "0:1e-1:3"],
     ], ids=["unknown-option", "order-5", "negative-eps", "k-above-amplitude",
             "x0-without-alpha0", "unknown-method", "coeff-without-value",
             "user-model-without-point", "missing-model-file", "non-numeric-x0",
             "non-numeric-coeff", "unknown-coeff", "coeff-for-hh", "orders-5",
             "two-part-amplitudes", "k-factor-above-one", "ntst-1", "lpseries-order-0",
-            "smooth-l2", "rp-altgamma", "lp-l2", "coeff-for-model-file"])
+            "smooth-l2", "rp-altgamma", "lp-l2", "coeff-for-model-file",
+            "analyze-out-in-missing-dir", "predict-out-in-missing-dir",
+            "lpseries-out-in-missing-dir", "converge-out-in-missing-dir",
+            "compare-out-in-missing-dir", "non-numeric-amplitude-count",
+            "amplitude-range-from-zero"])
     def test_usage_error_exits_2(self, argv, capsys, tmp_path):
         model = tmp_path / "m.txt"
         model.write_text("dim 2\npar p1 p2\nx1' = x2\nx2' = p1 + p2*x2 + x1^2 + x1*x2\n")
@@ -166,6 +178,19 @@ class TestConverge:
         assert len(lines) == 5
         rows = [ln.split(",") for ln in lines[1:]]
         assert all(r[-1] == "1" for r in rows)  # all converged
+
+    @pytest.mark.parametrize("name", ["rp", "rp-l2", "lp", "lp-alt", "lp-xid"])
+    def test_method_name_round_trips(self, name, capsys):
+        code, stdout, _ = run(["converge", "--model", "bt_nf", "--methods", name,
+                               "--orders", "3", "--amplitudes", "1e-2", "--ntst", "20"], capsys)
+        assert code == 0
+        header, row = stdout.splitlines()
+        assert row.split(",")[header.split(",").index("method")] == name
+
+    @pytest.mark.parametrize("spec, want", [("1e-3:1e-1:3", [1e-3, 1e-2, 1e-1]),
+                                            ("1e-2:1e-2:1", [1e-2])])
+    def test_amplitude_range_is_log_spaced(self, spec, want):
+        assert np.allclose(_parse_amplitudes("--amplitudes", spec), want, rtol=1e-14, atol=0)
 
 
 class TestCompare:

@@ -98,6 +98,34 @@ class TestParsing:
         J = derivatives(m, [3.0, 0.0], [0.0, 0.0])[0]
         assert J[1, 0] == pytest.approx(slope, rel=1e-15)
 
+    @pytest.mark.parametrize("text, match, line", [
+        pytest.param("dim two\npar p1 p2\n", "expected 'dim <n>'", 1, id="dim-not-a-number"),
+        pytest.param("dim 2 3\npar p1 p2\n", "expected 'dim <n>'", 1, id="dim-arity"),
+        pytest.param("par p1 p2\ndim 1\n", "dim must be at least 2", 2, id="dim-1"),
+        pytest.param("dim 2\npar p1 p2\nfix c\n", "expected 'fix <name> <value>'", 3,
+                     id="fix-arity"),
+        pytest.param("dim 2\npar p1 p2\nfix c one\n", "bad value 'one'", 3, id="fix-value"),
+        pytest.param("dim 2\npar p1 p2\ny' = x1\n", "bad equation head", 3,
+                     id="bad-equation-head"),
+        pytest.param("dim 2\npar p1 p2\nx1 = x2\n", "bad equation head", 3,
+                     id="head-without-prime"),
+        pytest.param("dim 2\npar p1 p2\nvar x\n", "unrecognized directive 'var'", 3,
+                     id="unknown-directive"),
+        pytest.param("par p1 p2\nx1' = x2\nx2' = p1\n", "missing 'dim'", 3, id="missing-dim"),
+        pytest.param("dim 2\nx1' = x2\nx2' = x1\n", "exactly 2 active parameters", 3,
+                     id="missing-par"),
+        pytest.param("dim 2\npar x1 p2\nx1' = x2\nx2' = p2\n", "collides with a state", 1,
+                     id="par-collides-with-state"),
+        pytest.param("dim 2\npar p1 p2\nfix p1 1\nx1' = x2\nx2' = p1\n",
+                     "collides with another name", 1, id="fix-collides-with-par"),
+        pytest.param("dim 2\npar p1 p2\nx1' = x2\nx2' = p1\nx3' = p2\n",
+                     "equation for x3 outside dim 2", 5, id="equation-outside-dim"),
+    ])
+    def test_directive_errors_name_their_line(self, text, match, line):
+        with pytest.raises(ParseError, match=match) as exc:
+            parse_model(text)
+        assert exc.value.line == line
+
     def test_code_that_does_not_compile_names_its_position(self):
         with pytest.raises(ParseError, match="line 2: code of x2'"):
             OdeModel(dim=2, rhs=["x[..., 1]", "x[..., 0] +"], active_params=("p1", "p2"),

@@ -131,6 +131,28 @@ class TestHomologicalResidual:
                for h in hs]
         assert fit_slope(hs, res) == pytest.approx(3.0, abs=0.1)
 
+    def test_smooth_normal_form_is_its_own_expansion(self, nf_smooth):
+        # bt_nf with NF_COEFFS is a smooth normal form, so G_eval closes it exactly
+        oracle, ex = nf_smooth
+        r = homological_residual(ex, oracle, [0.05, 0.03], [0.01, 0.02])
+        assert np.linalg.norm(r) <= 1e-15
+
+    @pytest.mark.parametrize("model, variant, hs", [
+        pytest.param("hh", "smooth", [1e-2, 3e-3, 1e-3], id="hh-smooth"),
+        pytest.param("hh", "hyper", [1e-2, 3e-3, 1e-3], id="hh-hyper"),
+        pytest.param("nf", "hyper", [3e-2, 1e-2, 3e-3], id="nf-hyper"),
+    ])
+    def test_scaling_order_smooth_and_hyper(self, model, variant, hs, hh_model, nf_model):
+        # the cubic terms of G_eval leave residuals of h-order 3 or higher
+        if model == "hh":
+            oracle, ex = analyze_bt(hh_model, HH_BT_STATE, HH_BT_ALPHA, variant)
+        else:
+            oracle, ex = analyze_bt(nf_model, [0, 0], [0, 0], variant)
+        w, beta = np.array([0.8, 0.6]), np.array([0.6, -0.8])
+        res = [np.linalg.norm(homological_residual(ex, oracle, h * w, h * h * beta))
+               for h in hs]
+        assert fit_slope(hs, res) >= 2.7
+
 
 def _curve_coefficients(ex, order=3):
     """sqrt(alpha1)- and alpha1-coefficients of alpha2(alpha1) after

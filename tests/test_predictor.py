@@ -157,6 +157,31 @@ class TestTimeReparam:
             slope = time_reparam(ex, RP, eps, Jet.variable(eta, 1)).d
             assert fd == pytest.approx(float(slope), rel=1e-6)
 
+    # dt/deta of the integrated series against theta(w0, beta2) of the lifted
+    # one: exact for rp, rp-l2 and lp-xid; the LP time transform xi(s) is a
+    # truncated series, which leaves lp and lp-alt a high-order remainder
+    @pytest.mark.parametrize("method, bound", [
+        pytest.param(RP, 1e-14, id="rp"),
+        pytest.param(Method("rp", PhaseChoice.L2), 1e-14, id="rp-l2"),
+        pytest.param(LP, 2e-8, id="lp"),
+        pytest.param(Method("lp", PhaseChoice.ALTGAMMA), 2e-8, id="lp-alt"),
+        pytest.param(Method("lp", lp_xi_identity=True), 1e-14, id="lp-xid"),
+    ])
+    def test_time_map_integrates_the_lifted_series(self, method, bound, nf_orbital):
+        from bthom.predictor import _w_beta
+        _, ex = nf_orbital
+        assert ex.theta1000 != 0.0
+        epss = [0.1, 0.05, 0.025]
+        err = []
+        for eps in epss:
+            eta = np.linspace(-8, 8, 161) / abs(ex.a / ex.b * eps)
+            w0, _, _, beta2 = _w_beta(ex, method, eps, eta)
+            dt = time_reparam(ex, method, eps, Jet.variable(eta, 1)).d
+            err.append(np.max(np.abs(dt - ex.theta_eval(w0, beta2))))
+        assert err[0] <= bound
+        if bound > 1e-14:
+            assert fit_slope(epss, err) >= 5.5
+
 
 class TestSaddle:
     def test_eps_zero_is_bt_point(self, nf_orbital):
@@ -232,6 +257,10 @@ class TestSamplePredictor:
         _, ex = nf_smooth
         with pytest.raises(ValueError, match="orbital variant only"):
             sample_predictor(ex, Method(kind, phase), 0.1)
+
+    def test_xi_identity_is_an_lp_option(self):
+        with pytest.raises(ValueError, match="lp method only"):
+            Method("rp", lp_xi_identity=True)
 
     def test_midpoint_matches_lift_for_symmetric_case(self, bt_nf_orbital):
         _, ex = bt_nf_orbital
