@@ -12,7 +12,8 @@ closed-form log-sech integrals.
 Each series is one family keyed by a phase condition and the smooth-normal-form
 coefficients; the orbital oscillator is the family at UNIT.  v(0) = 0 reads the
 smooth closed forms; the L2 (RP) and alternative-gamma (LP) phases exist at
-UNIT only, and L2 is the v(0) = 0 series at a shifted time.
+UNIT only.  LP is the source of truth: RP, its integral and L2 (the v(0) = 0
+series at a shifted time) are read from the LP series expanded in eps.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .jet import Jet, as_jet, cosh, elementary, sech, sinh, tanh
+from .jet import Jet, as_jet, elementary, sech, tanh
 
 __all__ = [
     "PhaseChoice",
@@ -39,7 +40,6 @@ __all__ = [
     "ALT_GAMMA1",
     "u0",
     "rp_orbit",
-    "rp_tau",
     "In_closed",
     "In_closed_parts",
     "LpSeries",
@@ -99,6 +99,19 @@ def _series(terms, eps: float, order: int):
     return acc
 
 
+def _eps_jet(terms, order: int) -> Jet:
+    """The jet in eps at eps = 0 of terms[0] + sum_i terms[i] eps^i, truncated
+    at eps^order.  A term that is a jet is itself a jet in eps (whose
+    coefficients may be jets in another variable) and moves up i coefficients;
+    any other term is a constant.
+    """
+    c = [0.0] * (order + 1)
+    for i, term in enumerate(terms[:order + 1]):
+        for k, ck in enumerate(term.c[:order + 1 - i] if isinstance(term, Jet) else (term,)):
+            c[i + k] = c[i + k] + ck
+    return Jet(*c)
+
+
 @elementary
 def logcosh(x0, order):
     """log(cosh(x)), stable for large |x|; its derivative is tanh."""
@@ -108,7 +121,7 @@ def logcosh(x0, order):
 
 
 # ---------------------------------------------------------------------------
-# zeroth order and the regular-perturbation chain
+# zeroth order
 # ---------------------------------------------------------------------------
 
 def u0(s):
@@ -120,65 +133,6 @@ def u0(s):
 def _u0_jet(s):
     t = tanh(s)
     return t * t * 6.0 - 4.0
-
-
-def _udot0_jet(s):
-    t, S = tanh(s), sech(s)
-    return t * S * S * 12.0
-
-
-def _u1_l2(s):
-    # L2-corrected first order (the gamma_1 shift is already folded in)
-    M = logcosh(s) + LN2
-    return (M * (-70.0) + 59.0) * _udot0_jet(s) * (3.0 / 245.0)
-
-
-def _u2_l2(s):
-    t, S = tanh(s), sech(s)
-    M = logcosh(s) + LN2
-    inner = (S * S * ((M * (M * 105.0 - 247.0)) * 70.0 + 6289.0) * 3.0
-             - (s * t * 3675.0 + M * (M * 35.0 - 94.0) * 210.0 + 7129.0) * 2.0)
-    return S * S * inner * (36.0 / 60025.0)
-
-
-def _u3_l2_raw(s):
-    t, S, L = tanh(s), sech(s), logcosh(s)
-    M = L + LN2
-    ch2 = cosh(s * 2.0)
-    inner = (S * S * (s * (M * 210.0 - 247.0) * 3675.0
-                      + t * (M ** 3 * (ch2 - 5.0) * (-171500.0)
-                             + M * M * (ch2 * 129.0 - 470.0) * 7350.0
-                             + M * 4456830.0 - 966242.0))
-             - (s * (M * 35.0 - 47.0) * 210.0 + t * L * 30673.0) * 70.0)
-    return S * S * inner * (216.0 / 14706125.0)
-
-
-def _rp_terms(phase: PhaseChoice, coeffs=UNIT):
-    """u_0..u_3 of the regular-perturbation series, each a function of s."""
-    _check_family(phase, coeffs)
-    if phase is PhaseChoice.VZERO:
-        return (_u0_jet,) + tuple(lambda s, i=i: _smooth_rp_terms(s, coeffs)[i] for i in range(3))
-    if phase is PhaseChoice.L2:
-        return (_u0_jet, _u1_l2, _u2_l2,
-                lambda s: _u3_l2_raw(s) + _udot0_jet(s) * GAMMA3_L2)
-    raise ValueError("regular perturbation supports the VZERO and L2 phases only")
-
-
-def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-             order: int = 3, coeffs=UNIT):
-    """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
-    terms, sj = _rp_terms(phase, coeffs), Jet.variable(s, 1)
-    if phase is PhaseChoice.VZERO:   # u_1..u_3 from one evaluation
-        acc = _series((_u0_jet(sj),) + (_smooth_rp_terms(sj, coeffs) if order else ()),
-                      eps, order)
-    else:
-        acc = _series([term(sj) for term in terms[:order + 1]], eps, order)
-    return acc.f, acc.d
-
-
-def rp_tau(eps: float, order: int = 3) -> float:
-    """tau(eps) = 10/7 + (288/2401) eps^2, truncated below order 2."""
-    return smooth_tau(eps, UNIT, order)
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +215,13 @@ def _peval(p, x):
     for a in reversed(p):
         out = out * x + a
     return out
+
+
+def _peval_eps_jet(polys, x, order: int) -> Jet:
+    """The eps-jet (see `_eps_jet`) of sum_k eps^k polys[k](x), k <= order.  An
+    eps-jet x enters term k truncated at eps^(order - k), all that term needs."""
+    return _eps_jet([_peval(p, Jet(*x.c[:order + 1 - k]) if isinstance(x, Jet) else x)
+                     for k, p in enumerate(polys[:order + 1])], order)
 
 
 def _pdivexact(num, den, exact: bool):
@@ -412,20 +373,22 @@ def _lp_parts(phase: PhaseChoice, coeffs=UNIT):
     raise ValueError("LP supports the VZERO and ALTGAMMA phases only; L2 is an RP phase")
 
 
+def _lp_jets(zeta, phase: PhaseChoice, order: int, coeffs):
+    """The LP orbit (u, v) at zeta as jets in eps at 0, truncated at eps^order;
+    zeta may itself be an eps-jet."""
+    u, om, _ = _lp_parts(phase, coeffs)
+    series = partial(_peval_eps_jet, x=zeta, order=min(order, 3))
+    return series(u), (1.0 - zeta * zeta) * series(om) * series([_pderiv(p) for p in u])
+
+
 def lp_orbit_third(zeta, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
                    order: int = 3, coeffs=UNIT):
     """Third-order LP orbit (u, v) as a function of the transformed time zeta.
 
     v = (1 - zeta^2) omega(zeta) u'(zeta), truncated at eps^order like u.
     """
-    u_polys, om, _ = _lp_parts(phase, coeffs)
-    zeta = np.asarray(zeta, float)
-    order = min(order, 3)
-    u_i = [_peval(p, Jet.variable(zeta, 1)) for p in u_polys[:order + 1]]
-    om_i = [_peval(p, zeta) for p in om[:order + 1]]
-    v = sum(om_i[i] * u_i[j].d * eps ** (i + j)
-            for i in range(order + 1) for j in range(order + 1 - i))
-    return _series([u.f for u in u_i], eps, order), (1.0 - zeta * zeta) * v
+    u, v = _lp_jets(np.asarray(zeta, float), phase, order, coeffs)
+    return _series(u.c, eps, order), _series(v.c, eps, order)
 
 
 # ---------------------------------------------------------------------------
@@ -521,89 +484,9 @@ def _smooth_xi_terms(s, coeffs):
     return xi1, xi2, xi3
 
 
-def _smooth_rp_terms(s, coeffs):
-    a, b, a1, b1, d, e = coeffs
-    t, S, L = tanh(s), sech(s), logcosh(s)
-    sh, ch = sinh(s), cosh(s)
-    ch2, ch3, ch4 = cosh(s * 2.0), cosh(s * 3.0), cosh(s * 4.0)
-    sh2 = sinh(s * 2.0)
-
-    u1 = t * S * S * L * (-72.0 * b / (7.0 * a))
-    u2 = (s * sh2 * (12.0 * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d))
-          + ch2 * ((7.0 * (5.0 * a1 * b + 9.0 * b * b - 56.0 * d))
-                   - L * L * (108.0 * b * b) + L * (108.0 * b * b)) * 8.0
-          + (L * L * (192.0 * b * b) - L * (96.0 * b * b)
-             + 35.0 * a1 * b - 64.0 * b * b + 245.0 * d) * 9.0
-          - ch4 * (7.0 * (5.0 * a1 * b + 7.0 * d))) * S ** 4 * (1.0 / (196.0 * a * a))
-    u3 = ((sh * (ch2 * (L * (-6.0 * b) * (-980.0 * (a * b1 + 3.0 * d)
-                             + 1225.0 * a1 * b + 312.0 * b * b)
-                        + 7.0 * (-1372.0 * a * e + 234.0 * b ** 3 + 147.0 * b * d)
-                        + L ** 3 * (2016.0 * b ** 3) - L * L * (6048.0 * b ** 3))
-                 + L * (6.0 * b) * (980.0 * a * b1 - 1225.0 * a1 * b
-                                    + 1200.0 * b * b - 9408.0 * d)
-                 + 7.0 * (1372.0 * a * e - 234.0 * b ** 3 - 147.0 * b * d)
-                 - L ** 3 * (10080.0 * b ** 3) + L * L * (15120.0 * b ** 3)) * (-2.0))
-          + s * ch3 * (42.0 * b * (35.0 * a1 * b - 36.0 * b * b + 98.0 * d)) * (L * 2.0 - 1.0)
-          + s * ch * (42.0 * b * (-35.0 * a1 * b + 36.0 * b * b - 98.0 * d)) * (L * 6.0 - 1.0)
-          ) * S ** 5 * (3.0 / (4802.0 * a ** 3))
-    return u1, u2, u3
-
-
 # ---------------------------------------------------------------------------
 # integrals of u feeding the orbital time reparametrization
 # ---------------------------------------------------------------------------
-
-def _rp_int_terms(s):
-    """U_0..U_3 = int_0^s of the v(0)=0 regular-perturbation terms."""
-    t, S, L = tanh(s), sech(s), logcosh(s)
-    sh, ch = sinh(s), cosh(s)
-    ch2, sh2, ch4 = cosh(s * 2.0), sinh(s * 2.0), cosh(s * 4.0)
-    return [
-        (s - t * 3.0) * 2.0,
-        S * S * (ch2 - L * 4.0 - 1.0) * (-9.0 / 7.0),
-        S ** 3 * (sh * (ch2 - L * L * 12.0 + 6.0) * 2.0 - s * ch * 12.0) * (-9.0 / 49.0),
-        S ** 4 * (ch4 + ch2 * (L ** 3 * (-112.0) + L * L * 168.0 + L * 188.0 + 7.0)
-                  + (L ** 3 * 28.0 - L * L * 21.0 - L * 29.0
-                     - s * sh2 * L * 21.0 - 1.0) * 8.0) * (-27.0 / 2401.0),
-    ]
-
-
-@lru_cache(maxsize=8)
-def _l2_drift(eps: float, order: int):
-    """The jet function of D(s) = sum_i eps^i (U_i(s + sigma) - U_i(s)) at eps,
-    truncated at eps^order (1..3), and D(0); sigma is the L2 time shift.
-
-    As U(s + sigma) integrates the L2 orbit, D(s) = U_L2(s) - U_L2(s - sigma)
-    with U_L2' = sum_i eps^i u_i, u_i the L2 terms.
-    """
-    sigma = -Jet(*(0.0, GAMMA1_L2, 0.0, SIGMA3_L2)[:order + 1])
-    # w[i][j] = eps^i (-sigma)^j at eps, with (-sigma)^j truncated at eps^(order - i)
-    w = [[eps ** i * _series((sigma ** j).c, eps, order - i) for j in range(order - i + 1)]
-         for i in range(order)]
-
-    @elementary
-    def drift(x0, K):
-        # u_i to derivative order - 1 - i, as sigma^j is O(eps^j); U_i's Taylor
-        # coefficients are c[n] = u_i.c[n - 1] / n
-        u = [f(Jet.variable(x0, K + order - 1 - i))
-             for i, f in enumerate(_rp_terms(PhaseChoice.L2)[:order])]
-        return [-sum(w[i][j] * comb(k + j, k) / (k + j) * f.c[k + j - 1]
-                     for i, f in enumerate(u) for j in range(1, order - i + 1))
-                for k in range(K + 1)]
-    return drift, drift(0.0).f
-
-
-def rp_int_u(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3):
-    """int_0^s u ds of the regular-perturbation orbit at UNIT, truncated at eps^order;
-    the L2 orbit is the v(0)=0 one at s + sigma, so its integral adds D(s) - D(0)."""
-    if phase not in (PhaseChoice.VZERO, PhaseChoice.L2):
-        raise ValueError("regular perturbation supports the VZERO and L2 phases only")
-    acc = _series(_rp_int_terms(s), eps, order)
-    if phase is PhaseChoice.L2 and order:
-        drift, at0 = _l2_drift(eps, order)
-        acc = acc + drift(s) - at0
-    return acc if isinstance(s, Jet) else acc.f
-
 
 @lru_cache(maxsize=None)
 def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
@@ -622,6 +505,15 @@ def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
     return tuple(parts)
 
 
+def _lp_int_jet(xi: Jet, phase: PhaseChoice, order: int, xi_identity: bool) -> Jet:
+    """`lp_int_u` as a jet in eps at eps = 0, truncated at eps^min(order, 3);
+    xi is an eps-jet (a constant one, ``Jet(xi)``, for xi free of eps)."""
+    order = min(order, 3)
+    Q, c0, c1 = zip(*_lp_int_parts(phase, order, xi_identity))
+    return (_peval_eps_jet(Q, tanh(xi), order) + logcosh(xi) * _eps_jet(c1, order)
+            + xi * _eps_jet(c0, order))
+
+
 def lp_int_u(xi, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3,
              xi_identity: bool = False):
     """int u ds of the LP orbit at UNIT as a function of xi, zero at xi = 0.
@@ -630,7 +522,61 @@ def lp_int_u(xi, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int 
     dzeta = (1 - zeta^2) dxi, so the eps^k term q(zeta) (1 - zeta^2) + c1 zeta + c0
     of the integrand integrates to int_0^zeta q + c0 xi + c1 log cosh xi.
     """
-    zeta, L = tanh(xi), logcosh(xi)
-    parts = _lp_int_parts(phase, min(order, 3), xi_identity)
-    acc = _series([_peval(Q, zeta) + L * c1 + xi * c0 for Q, c0, c1 in parts], eps, order)
-    return acc if isinstance(xi, Jet) else acc.f
+    return _series(_lp_int_jet(Jet(xi), phase, order, xi_identity).c, eps, order)
+
+
+# ---------------------------------------------------------------------------
+# regular perturbation: the eps-expansion of the LP series
+# ---------------------------------------------------------------------------
+# The RP terms are the eps-Taylor coefficients of the LP orbit and of its
+# integral at xi(s, eps), read by pushing jets in eps at eps = 0 through them.
+
+def _rp_xi(s, phase: PhaseChoice, order: int, coeffs=UNIT) -> Jet:
+    """xi(s, eps) of the v(0) = 0 series as an eps-jet, order <= 3; s may be a
+    jet.  L2 is that series at the time s + sigma, sigma = GAMMA1_L2 eps +
+    SIGMA3_L2 eps^3."""
+    if phase not in (PhaseChoice.VZERO, PhaseChoice.L2):
+        raise ValueError("regular perturbation supports the VZERO and L2 phases only")
+    _check_family(phase, coeffs)
+    s = Jet(s)
+    if phase is PhaseChoice.L2:
+        s = s + _eps_jet((0.0, GAMMA1_L2, 0.0, SIGMA3_L2), order)
+    return _eps_jet((s,) + _lp_parts(PhaseChoice.VZERO, coeffs)[2](s), order)
+
+
+def _rp_jets(s, phase: PhaseChoice, order: int, coeffs=UNIT):
+    """The LP orbit (u, v) at xi(s, eps) as eps-jets at eps = 0, truncated at
+    eps^order: their coefficients are the RP terms (u_i, u_i'), i <= 3."""
+    order = min(order, 3)
+    return _lp_jets(tanh(_rp_xi(s, phase, order, coeffs)), PhaseChoice.VZERO, order, coeffs)
+
+
+def _rp_terms(phase: PhaseChoice, coeffs=UNIT):
+    """u_0..u_3 of the regular-perturbation series, each a function of s."""
+    return tuple(lambda s, i=i: _rp_jets(s, phase, 3, coeffs)[0].c[i] for i in range(4))
+
+
+def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
+             order: int = 3, coeffs=UNIT):
+    """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
+    u, v = _rp_jets(s, phase, order, coeffs)
+    return _series(u.c, eps, order), _series(v.c, eps, order)
+
+
+def _rp_int_jet(s, phase: PhaseChoice, order: int) -> Jet:
+    """The LP integral of u at xi(s, eps) as an eps-jet at eps = 0, at UNIT."""
+    return _lp_int_jet(_rp_xi(s, phase, min(order, 3)), PhaseChoice.VZERO, order, False)
+
+
+@lru_cache(maxsize=None)
+def _rp_int_at0(phase: PhaseChoice, order: int) -> Jet:
+    return _rp_int_jet(0.0, phase, order)
+
+
+def rp_int_u(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3):
+    """int_0^s u ds of the regular-perturbation orbit at UNIT, truncated at eps^order.
+
+    The orbit at s is the v(0) = 0 one at s + sigma (sigma = 0 at v(0) = 0), so
+    this is U(s + sigma) - U(sigma), U the LP integral at xi(s, eps).
+    """
+    return _series((_rp_int_jet(s, phase, order) - _rp_int_at0(phase, order)).c, eps, order)

@@ -335,12 +335,13 @@ def bvp_residual(bvp: HomBvp, z: np.ndarray) -> np.ndarray:
 
     # collocation: dx/dsigma = 2T f(x, alpha) at Gauss points; the rows are
     # scaled by 1/(2T) so the residual is in vector-field units regardless of
-    # the half-return time (the Newton step is invariant under row scaling)
+    # the half-return time (the Newton step is invariant under row scaling).
+    # The saddle rides along as the last row, saving a second call's fixed cost.
     xg = _at_gauss(pat.P, orbit, ntst, bvp.mesh.ncol)
     dxg = _at_gauss(pat.D, orbit, ntst, bvp.mesh.ncol) * ntst
-    e["coll"][...] = dxg / (2.0 * bvp.T) - eval_rhs(model, xg, alpha)
-
-    e["saddle"][...] = eval_rhs(model, s0, alpha)
+    f = eval_rhs(model, np.vstack([xg, s0]), alpha)
+    e["coll"][...] = dxg / (2.0 * bvp.T) - f[:-1]
+    e["saddle"][...] = f[-1]
 
     e["phase"][...] = np.sum(pat.w[:, None] * bvp.xt_dot_gauss * (xg - bvp.xt_gauss))
 
@@ -400,9 +401,12 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     tU, tS = _in_frozen_bases(bvp, A_sa[:, :n])
 
     def ric_y_block(t, Y, k):
+        """kron(left, I_k) - kron(I, right^T), by broadcasting."""
         left = t[k:, k:] - Y @ t[:k, k:]
         right = t[:k, :k] + t[:k, k:] @ Y
-        return np.kron(left, np.eye(Y.shape[1])) - np.kron(np.eye(Y.shape[0]), right.T)
+        I_a, I_b = np.eye(Y.shape[0]), np.eye(k)
+        return (left[:, None, :, None] * I_b[None, :, None, :]
+                - I_a[:, None, :, None] * right.T[None, :, None, :]).reshape(Y.size, Y.size)
 
     v["ric_u_y"][...] = ric_y_block(tU, YU, nU)
     v["ric_s_y"][...] = ric_y_block(tS, YS, nS)

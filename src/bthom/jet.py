@@ -23,8 +23,11 @@ class Jet:
 
     The coefficients c[k] = f^(k)(0) / k! are arrays that broadcast, so base
     points in c[0] can be pushed along a batch of directions in c[1] at once.
-    A jet with fewer coefficients than another is a polynomial of lower
-    degree (``Jet(c0)`` is a constant); results have the larger order.
+    They may also be jets in a second variable (a nested jet), which carries
+    mixed derivatives; a value entering such a jet's arithmetic from the inner
+    level is first made a constant, ``Jet(inner)``.  A jet with fewer
+    coefficients than another is a polynomial of lower degree (``Jet(c0)`` is a
+    constant); results have the larger order.
     """
 
     __slots__ = ("c",)
@@ -35,7 +38,10 @@ class Jet:
 
     @staticmethod
     def variable(s, order: int = 2) -> Jet:
-        """The independent variable s + t, truncated at ``order``."""
+        """The independent variable s + t, truncated at ``order``; s may be a jet,
+        whose coefficients are then those of a nested jet."""
+        if isinstance(s, Jet):
+            return Jet(s, *[1.0 if k == 1 else 0.0 for k in range(1, order + 1)])
         s = np.asarray(s, float) + 0.0
         return Jet(s, *[np.ones_like(s) if k == 1 else 0.0 for k in range(1, order + 1)])
 
@@ -89,7 +95,9 @@ class Jet:
         if k < 0:
             return 1.0 / self ** -k
         if k < 2:
-            return self if k else Jet(np.ones_like(np.asarray(self.c[0], float)))
+            c0 = self.c[0]
+            return self if k else Jet(c0 ** 0 if isinstance(c0, Jet)
+                                      else np.ones_like(np.asarray(c0, float)))
         # binary powering; x^3 and x^4 stay repeated products, whose rounding
         # exact zeros of polarized tensors (HH's f_x,alpha,alpha) rest on
         if k % 2 or k <= 4:
@@ -121,12 +129,26 @@ def _compose(x: Jet, g) -> Jet:
 
 def elementary(taylor):
     """The jet function of phi, where taylor(x0, K) lists phi's Taylor
-    coefficients at x0 up to order K."""
+    coefficients at an array x0 up to order K.  The base point may itself be a
+    jet (nested jets); see `_taylor_at`."""
     @functools.wraps(taylor)
     def apply(x):
         x = as_jet(x)
-        return _compose(x, taylor(x.c[0], x.order))
+        return _compose(x, _taylor_at(taylor, x.c[0], x.order))
     return apply
+
+
+def _taylor_at(taylor, x0, order: int) -> list:
+    """phi's Taylor coefficients phi^(k)(x0) / k!, k <= order, at x0 an array or a jet.
+
+    At a jet x0 each is the jet of phi^(k) / k! at x0, whose own Taylor
+    coefficients at x0's base point are C(k + m, k) g[k + m], g phi's there.
+    """
+    if not isinstance(x0, Jet):
+        return taylor(x0, order)
+    g = _taylor_at(taylor, x0.c[0], order + x0.order)
+    return [_compose(x0, [math.comb(k + m, k) * g[k + m] for m in range(x0.order + 1)])
+            for k in range(order + 1)]
 
 
 @elementary

@@ -14,7 +14,7 @@ import scipy.optimize as so
 import bthom.asymptotics as asy
 from bthom.asymptotics import (GAMMA1_L2, GAMMA3_L2, In_closed,
                                In_closed_parts, PhaseChoice,
-                               lp_solve_quadratic, rp_tau)
+                               lp_solve_quadratic, smooth_tau)
 from bthom.corrector import bvp_residual, convergence_study, correct_predictor
 from bthom.jet import Jet, tanh
 from bthom.model import builtin_model
@@ -89,8 +89,11 @@ def test_criterion_04_gamma_constants():
         return -(35 / 2592) * val
 
     u1 = asy._rp_terms(PhaseChoice.VZERO)[1]
+    u3_l2 = asy._rp_terms(PhaseChoice.L2)[3]
     assert phase_integral(u1) == pytest.approx(GAMMA1_L2, abs=1e-8)
-    assert phase_integral(asy._u3_l2_raw) == pytest.approx(GAMMA3_L2, abs=1e-8)
+    # u3 of L2 without its gamma_3 u0' part
+    gamma3 = phase_integral(lambda s: u3_l2(s) - asy._u0_jet(s).d * GAMMA3_L2)
+    assert gamma3 == pytest.approx(GAMMA3_L2, abs=1e-8)
     _report(4, "gamma_1 and gamma_3 match direct quadrature of the phase "
                "integral to 1e-8")
 
@@ -104,7 +107,8 @@ def test_criterion_05_planar_residual_order():
         u = terms[0](s)
         for i in range(1, 4):
             u = u + terms[i](s) * eps ** i
-        return np.max(np.abs(u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + rp_tau(eps)))))
+        tau = smooth_tau(eps, asy.UNIT)
+        return np.max(np.abs(u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + tau))))
 
     def lp_res(eps):
         xi = asy.xi_of_s(s, eps, PhaseChoice.VZERO)
@@ -113,7 +117,8 @@ def test_criterion_05_planar_residual_order():
         u = Jet(np.zeros(161))
         for i in range(4):
             u = u + asy._peval(list(u_polys[i]), zeta) * eps ** i
-        return np.max(np.abs(u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + rp_tau(eps)))))
+        tau = smooth_tau(eps, asy.UNIT)
+        return np.max(np.abs(u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + tau))))
 
     s_rp = fit_slope(eps_grid, [rp_res(e) for e in eps_grid])
     s_lp = fit_slope(eps_grid, [lp_res(e) for e in eps_grid])

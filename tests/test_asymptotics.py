@@ -5,11 +5,11 @@ import pytest
 import scipy.integrate as si
 
 import bthom.asymptotics as asy
-from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, SIGMA3_L2, In_closed,
+from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, SIGMA3_L2, UNIT, In_closed,
                                In_closed_parts, PhaseChoice,
                                lp_orbit_of_s, lp_orbit_third,
-                               lp_solve_quadratic, rp_orbit, rp_tau,
-                               smooth_tau, u0, xi_of_s)
+                               lp_solve_quadratic, rp_orbit, smooth_tau, u0,
+                               xi_of_s)
 from bthom.jet import Jet, tanh
 from conftest import NF_COEFFS, fit_slope
 
@@ -40,10 +40,10 @@ class TestRegularPerturbation:
         assert np.allclose(ud, ud_ref, atol=1e-15)
 
     def test_tau(self):
-        assert rp_tau(0.0) == pytest.approx(10 / 7, abs=0)
-        assert rp_tau(1.0) == pytest.approx(10 / 7 + 288 / 2401, abs=1e-15)
-        assert rp_tau(-0.37) == rp_tau(0.37)
-        assert rp_tau(0.5, order=1) == 10 / 7
+        assert smooth_tau(0.0, UNIT) == pytest.approx(10 / 7, abs=0)
+        assert smooth_tau(1.0, UNIT) == pytest.approx(10 / 7 + 288 / 2401, abs=1e-15)
+        assert smooth_tau(-0.37, UNIT) == smooth_tau(0.37, UNIT)
+        assert smooth_tau(0.5, UNIT, 1) == 10 / 7
 
     @pytest.mark.parametrize("phase", [PhaseChoice.VZERO, PhaseChoice.L2])
     def test_each_series_term_solves_its_chain_ode(self, phase):
@@ -69,7 +69,7 @@ class TestRegularPerturbation:
             u = terms[0](s)
             for i in range(1, 4):
                 u = u + terms[i](s) * eps ** i
-            r = u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + rp_tau(eps)))
+            r = u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + smooth_tau(eps, UNIT)))
             res.append(np.max(np.abs(r)))
         assert fit_slope(EPS_GRID, res) >= 3.7
 
@@ -80,8 +80,7 @@ class TestRegularPerturbation:
 
     def test_l2_phase_condition_integral_vanishes(self):
         """int_0^inf <(u0', u0''), (u_i + g u0', u_i' + g u0'')> ds = 0, i = 1, 3."""
-        terms = {1: asy._u1_l2,
-                 3: lambda s: asy._u3_l2_raw(s) + asy._udot0_jet(s) * GAMMA3_L2}
+        terms = {i: asy._rp_terms(PhaseChoice.L2)[i] for i in (1, 3)}
 
         def integrand(fn):
             def g(s):
@@ -102,6 +101,18 @@ class TestRegularPerturbation:
             up, _ = rp_orbit(s, eps, PhaseChoice.VZERO)
             um, _ = rp_orbit(-s, -eps, PhaseChoice.VZERO)
             assert np.max(np.abs(up - um)) < 1e-10
+
+    @pytest.mark.parametrize("phase", [PhaseChoice.VZERO, PhaseChoice.L2])
+    def test_jet_eps_is_read_at_its_value(self, phase):
+        """A jet eps carries d/deps at its own base point, here eps = 0.1."""
+        s, h = np.linspace(-6, 6, 49), 1e-5
+        u, v = rp_orbit(s, Jet.variable(0.1, 1), phase)
+        up, vp = rp_orbit(s, 0.1 + h, phase)
+        um, vm = rp_orbit(s, 0.1 - h, phase)
+        assert np.max(np.abs(u.f - rp_orbit(s, 0.1, phase)[0])) <= 1e-15
+        assert np.max(np.abs(u.d - (up - um) / (2 * h))) <= 1e-8
+        assert np.max(np.abs(v.d - (vp - vm) / (2 * h))) <= 1e-8
+        assert np.max(np.abs(xi_of_s(s, Jet.variable(0.1, 1)) - xi_of_s(s, 0.1))) <= 1e-15
 
     def test_altgamma_not_supported(self):
         with pytest.raises(ValueError):
@@ -150,7 +161,8 @@ class TestGammaConstants:
         def g(s):
             sj = Jet.variable(np.array([s]))
             base = asy._u0_jet(sj)
-            return float((base.d * (1 - 2 * base.f) * asy._u3_l2_raw(sj).f)[0])
+            u3_raw = asy._rp_terms(PhaseChoice.L2)[3](sj) - base.d * GAMMA3_L2
+            return float((base.d * (1 - 2 * base.f) * u3_raw.f)[0])
         val, _ = si.quad(g, 0, 40, limit=300)
         assert -(35 / 2592) * val == pytest.approx(GAMMA3_L2, abs=1e-10)
 
@@ -291,7 +303,7 @@ class TestLpOrbit:
             u = Jet(np.zeros(161))
             for i in range(4):
                 u = u + asy._peval(list(u_polys[i]), zeta) * eps ** i
-            r = u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + rp_tau(eps)))
+            r = u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + smooth_tau(eps, UNIT)))
             res.append(np.max(np.abs(r)))
         assert fit_slope(EPS_GRID, res) >= 3.7
 
@@ -342,7 +354,7 @@ class TestSmoothNormalForm:
         u2, v2 = rp_orbit(1.3, 0.1)
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
-        assert smooth_tau(0.3, quad) == rp_tau(0.3)
+        assert smooth_tau(0.3, quad) == smooth_tau(0.3, UNIT)
 
     def test_unit_polynomials_match_exact_recursion(self):
         # the orbital LP predictor reads these closed forms, not the recursion
@@ -367,7 +379,7 @@ class TestSmoothNormalForm:
         s = Jet.variable(np.linspace(-7, 7, 141))
         res = []
         for eps in EPS_GRID:
-            terms = (asy._u0_jet(s),) + asy._smooth_rp_terms(s, NF_COEFFS)
+            terms = [f(s) for f in asy._rp_terms(PhaseChoice.VZERO, NF_COEFFS)]
             u = terms[0]
             for i in range(1, 4):
                 u = u + terms[i] * eps ** i

@@ -3,7 +3,8 @@ import math
 import mpmath as mp
 import pytest
 
-from bthom.jet import Jet, psi
+from bthom.asymptotics import logcosh
+from bthom.jet import Jet, cosh, exp, log, psi, sech, sinh, sqrt, tanh
 
 
 def _psi_mp(t):
@@ -42,3 +43,44 @@ def test_integer_power_takes_logarithmically_many_products(monkeypatch):
     monkeypatch.setattr(Jet, "__mul__", counting)
     Jet.variable(1.001, 3) ** 1000
     assert 0 < len(calls) <= 2 * math.ceil(math.log2(1000))
+
+
+# x(t, u) = x0 + P t + Q u + R t u + P2 t^2 + Q2 u^2, as an order-3 jet in t
+# whose coefficients are order-2 jets in u
+P, Q, R, P2, Q2 = 0.3, -0.45, 0.5, -0.15, 0.25
+NESTED = {exp: mp.exp, log: mp.log, sqrt: mp.sqrt, cosh: mp.cosh, sinh: mp.sinh,
+          tanh: mp.tanh, sech: mp.sech, logcosh: lambda z: mp.log(mp.cosh(z)),
+          psi: _psi_mp}
+
+
+@pytest.mark.parametrize("fn, x0", [(fn, x0) for fn in NESTED for x0 in (0.7, 1.9, -1.3)
+                                     if x0 > 0 or fn not in (log, sqrt)],
+                         ids=lambda v: getattr(v, "__name__", str(v)))
+def test_nested_jets_give_mixed_derivatives(fn, x0):
+    x = Jet(Jet(x0, Q, Q2), Jet(P, R, 0.0), Jet(P2, 0.0, 0.0), 0.0)
+    jet = fn(x)
+
+    def f(t, u):
+        return NESTED[fn](x0 + P * t + Q * u + R * t * u + P2 * t * t + Q2 * u * u)
+
+    with mp.workdps(40):
+        for k in range(4):
+            for m in range(3):
+                want = float(mp.diff(f, (0, 0), (k, m))) / (math.factorial(k) * math.factorial(m))
+                got = float(jet.c[k].c[m])
+                assert abs(got - want) <= 1e-13 * abs(want), (k, m, got, want)
+
+
+def test_variable_and_power_zero_at_a_jet_base_point():
+    inner = Jet.variable(0.4, 2)
+    x = Jet.variable(inner, 3)
+    assert x.c[0] is inner and x.c[1:] == (1.0, 0.0, 0.0)
+    one = x ** 0
+    assert one.order == 0 and isinstance(one.c[0], Jet)
+    assert float(one.c[0].c[0]) == 1.0
+    # exp(x) at x = 0.4 + u + t: every coefficient is e^0.4 / (k! m!)
+    jet = exp(x)
+    for k in range(4):
+        for m in range(3):
+            want = math.exp(0.4) / (math.factorial(k) * math.factorial(m))
+            assert abs(float(jet.c[k].c[m]) - want) <= 1e-15 * want

@@ -3,7 +3,7 @@ import pytest
 import scipy.optimize as so
 
 from conftest import NF_COEFFS, fit_slope
-from bthom.asymptotics import PhaseChoice, lp_orbit_of_s, rp_orbit, rp_tau
+from bthom.asymptotics import UNIT, PhaseChoice, lp_orbit_of_s, rp_orbit, smooth_tau
 from bthom.jet import Jet
 from bthom.model import builtin_model, eval_rhs, parse_model
 from bthom.nfcoeffs import analyze_bt
@@ -74,7 +74,7 @@ class TestLift:
             u, v = series(s, eps, order=order)
             want = ((a / b ** 2) * u * eps ** 2, (a ** 2 / b ** 3) * v * eps ** 3,
                     -4.0 * a ** 3 / b ** 4 * eps ** 4,
-                    (a / b) * rp_tau(eps, order=order) * eps ** 2)
+                    (a / b) * smooth_tau(eps, UNIT, order) * eps ** 2)
             for got, ref in zip(_w_beta(ex, m, eps, eta), want):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
