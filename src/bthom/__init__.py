@@ -12,19 +12,18 @@ defining system.
 from .asymptotics import (In_closed, LpSeries, PhaseChoice, lp_orbit_third,
                           lp_solve_quadratic, rp_orbit, smooth_tau, u0,
                           xi_of_s)
-from .corrector import (ConvergenceRecord, HomBvp, NoConvergenceError,
-                        build_bvp, bvp_jacobian, bvp_residual,
-                        convergence_study, correct_predictor,
+from .corrector import (ConvergenceRecord, HomBvp, build_bvp, bvp_jacobian,
+                        bvp_residual, convergence_study, correct_predictor,
                         correct_with_retries, newton_correct)
-from .linalg import (BTData, InconsistentSystemError, NotBTError,
-                     bordered_solve, bt_eigenstructure)
+from .errors import BthomError
+from .linalg import BTData, NotBTError, bt_eigenstructure
 from .model import (ModelError, MultilinearOracle, OdeModel, ParseError,
                     build_oracle, builtin_model, eval_rhs, parse_model)
 from .nfcoeffs import (CmExpansion, NonGenericBTError, Variant, analyze_bt,
                        critical_coefficients, homological_residual)
-from .predictor import (HomPredictor, Mesh, Method, amplitude_to_eps,
-                        invert_time, lift_orbit, lift_parameters, make_mesh,
-                        saddle_point, sample_predictor, tangent_orientation,
-                        time_reparam, ttol_to_T)
+from .predictor import (HomPredictor, Mesh, Method, NoConvergenceError,
+                        amplitude_to_eps, invert_time, lift_orbit, lift_parameters,
+                        make_mesh, saddle_point, sample_predictor,
+                        tangent_orientation, time_reparam, ttol_to_T)
 
 __version__ = "0.1.0"

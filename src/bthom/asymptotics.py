@@ -114,10 +114,12 @@ def _eps_jet(terms, order: int) -> Jet:
 
 @elementary
 def logcosh(x0, order):
-    """log(cosh(x)), stable for large |x|; its derivative is tanh."""
+    """log(cosh(x)), accurate near 0 and stable for large |x|; its derivative is tanh."""
     a = np.abs(x0)
+    h = np.sinh(0.5 * np.minimum(a, 1.0))       # cosh x = 1 + 2 sinh^2(x/2)
+    value = np.where(a < 1.0, np.log1p(2.0 * h * h), a + np.log1p(np.exp(-2.0 * a)) - LN2)
     t = tanh(Jet.variable(x0, order - 1)).c if order else ()
-    return [a + np.log1p(np.exp(-2.0 * a)) - LN2] + [tk / (k + 1) for k, tk in enumerate(t)]
+    return [value] + [tk / (k + 1) for k, tk in enumerate(t)]
 
 
 # ---------------------------------------------------------------------------

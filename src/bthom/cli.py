@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -10,16 +11,16 @@ import numpy as np
 
 from .asymptotics import PhaseChoice, lp_solve_quadratic
 from .corrector import convergence_study, ConvergenceRecord, _method_label
-from .linalg import BorderedSingularError, InconsistentSystemError, NotBTError
+from .errors import BthomError
 from .model import ModelError, builtin_model, parse_model, HH_BT_STATE, HH_BT_ALPHA
-from .nfcoeffs import NonGenericBTError, analyze_bt
-from .predictor import (Method, NoConvergenceError, make_mesh, sample_predictor,
-                        lift_parameters, planar_series)
+from .nfcoeffs import analyze_bt
+from .predictor import Method, make_mesh, sample_predictor, lift_parameters, planar_series
 
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 _BUILTIN_POINTS = {
+    "bt_nf": (np.zeros(2), np.zeros(2)),
     "hh": (HH_BT_STATE, HH_BT_ALPHA),
 }
 
@@ -91,8 +92,6 @@ def _bt_point(args, model):
         return x0, alpha0
     if model.name in _BUILTIN_POINTS:
         return _BUILTIN_POINTS[model.name]
-    if model.name == "bt_nf":
-        return np.zeros(2), np.zeros(2)
     raise UsageError("need --x0 and --alpha0 for a user model")
 
 
@@ -115,8 +114,7 @@ def _method(args) -> Method:
     if not 0 <= args.order <= 3:
         raise UsageError("--order must be in 0..3")
     phase = PhaseChoice(args.phase)
-    return Method(kind=args.method, phase=phase, order=args.order,
-                  lp_xi_identity=getattr(args, "lp_xi_identity", False))
+    return Method(kind=args.method, phase=phase, order=args.order)
 
 
 def _check_phase(option: str, expansion, method: Method) -> None:
@@ -133,15 +131,9 @@ def cmd_analyze(args) -> int:
     out = {}
     for var in variants:
         oracle, ex = analyze_bt(model, x0, alpha0, var)
-        eig = ex.eig
-        report = ex.as_dict()
-        report["x0"] = eig.x0.tolist()
-        report["alpha0"] = eig.alpha0.tolist()
-        report["q0"] = eig.q0.tolist()
-        report["q1"] = eig.q1.tolist()
-        report["p0"] = eig.p0.tolist()
-        report["p1"] = eig.p1.tolist()
-        report["eig_residuals"] = eig.residuals(oracle.A)
+        report = ex.as_dict() | {name: getattr(ex.eig, name).tolist()
+                                 for name in ("x0", "alpha0", "q0", "q1", "p0", "p1")}
+        report["eig_residuals"] = ex.eig.residuals(oracle.A)
         out[var] = report
         print(f"variant {var}: a = {_fmt(ex.a)}  b = {_fmt(ex.b)}  "
               f"theta1000 = {_fmt(ex.theta1000)}  theta0001 = {_fmt(ex.theta0001)}")
@@ -164,8 +156,7 @@ def cmd_predict(args) -> int:
     _check_phase("--phase", ex, method)
     mesh = _mesh(args)
     try:
-        pred = sample_predictor(ex, method, args.eps, mesh,
-                                k=args.k if args.k is not None else args.eps * 1e-4)
+        pred = sample_predictor(ex, method, args.eps, mesh, k=args.k)
     except ValueError as exc:   # the end distance k is outside (0, A0)
         raise UsageError(f"--k: {exc}") from None
     _emit(args.out, json.dumps(pred.as_dict(), indent=2) + "\n")
@@ -227,14 +218,11 @@ def cmd_converge(args) -> int:
 def cmd_compare(args) -> int:
     model = _load_model(args)
     x0, alpha0 = _bt_point(args, model)
-    import copy
-
     expansions = {var: analyze_bt(model, x0, alpha0, var)[1]
                   for var in ("orbital", "smooth", "hyper")}
-    wrong = copy.deepcopy(expansions["orbital"])
-    wrong.K["K11"] = np.zeros(2)
-    wrong.K["K03"] = np.zeros(2)
-    expansions["orbital-wrongK"] = wrong
+    orbital = expansions["orbital"]      # the negative control drops K11 and K03
+    expansions["orbital-wrongK"] = dataclasses.replace(
+        orbital, K=orbital.K | {"K11": np.zeros(2), "K03": np.zeros(2)})
 
     eps_values = _parse_amplitudes("--eps-range", args.eps_range)
     lines = ["variant,order,eps,alpha1,alpha2"]
@@ -308,13 +296,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except UsageError as exc:
         parser.exit(EXIT_USAGE, f"{parser.prog} {args.command}: error: {exc}\n")
-    except (NotBTError, NonGenericBTError, NoConvergenceError, BorderedSingularError,
-            InconsistentSystemError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except ModelError as exc:
-        print(f"model error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except BthomError as exc:     # a bad model is bad input; the rest is numeric
+        kind = "model error" if isinstance(exc, ModelError) else "error"
+        print(f"{kind}: {exc} (stage: {exc.stage})", file=sys.stderr)
+        return EXIT_USAGE if isinstance(exc, ModelError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ from .predictor import (HomPredictor, Mesh, NoConvergenceError, amplitude_to_eps
                         make_mesh, sample_predictor, Method)
 
 __all__ = [
-    "NoConvergenceError",
     "HomBvp",
     "ConvergenceRecord",
     "build_bvp",
@@ -264,11 +263,12 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
     A = jets[0][:, :n]
     TU, ZU, nU = scipy.linalg.schur(A, output="real", sort="rhp")
     if nU == 0 or nU == n:
-        raise NoConvergenceError(f"saddle has {nU} unstable directions; need 1..{n-1}")
+        raise NoConvergenceError(f"saddle has {nU} unstable directions; need 1..{n-1}",
+                                 stage="bvp")
     TS, ZS, nS = scipy.linalg.schur(A, output="real", sort="lhp")
     if nS != n - nU:
         raise NoConvergenceError("eigenvalues too close to the imaginary axis "
-                                 "to split stable/unstable subspaces")
+                                 "to split stable/unstable subspaces", stage="bvp")
     ntst, ncol = mesh.ntst, mesh.ncol
     pattern = _mesh_pattern(ntst, ncol, n, nU, _dependency_mask(model))
     bvp = HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
@@ -590,18 +590,18 @@ def correct_predictor(model: OdeModel, pred: HomPredictor,
                       tol: float = 1e-10) -> tuple[HomBvp, np.ndarray, int]:
     """Build the defining system around a predictor and Newton-correct it.
 
-    A model evaluation that fails (the predictor left the model's domain) is
-    a :class:`NoConvergenceError` naming the stage, so callers can retry.
+    A model evaluation that fails (the predictor left the model's domain) is a
+    :class:`NoConvergenceError` of its stage, bvp or newton, so callers can retry.
     """
-    stage = "build_bvp"
+    stage = "bvp"
     try:
         bvp = build_bvp(model, pred.mesh, pred.T, pred.orbit, pred.s0, pred.alpha)
         z0 = pack_unknowns(bvp, pred.orbit, pred.s0, pred.alpha,
                            eps0=pred.eps0, eps1=pred.eps1)
-        stage = "newton_correct"
+        stage = "newton"
         z, iters = newton_correct(bvp, z0, tol=tol)
     except ModelError as exc:
-        raise NoConvergenceError(f"{stage}: {exc}") from exc
+        raise NoConvergenceError(str(exc), stage=stage) from exc
     return bvp, z, iters
 
 

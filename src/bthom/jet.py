@@ -182,21 +182,28 @@ def sinh(x0, order):
     return [pair[k % 2] / math.factorial(k) for k in range(order + 1)]
 
 
+def _tanh_sech(x0, order):
+    """tanh's Taylor coefficients at x0 to ``order`` and sech's to order - 1, from tanh' =
+    sech^2, sech' = -sech tanh and sech(x0) = 2 e^-|x0| / (1 + e^-2|x0|), accurate far out."""
+    t, s = [np.tanh(x0)], []
+    for k in range(order):
+        if k:
+            s.append(-sum(s[i] * t[k - 1 - i] for i in range(k)) / k)
+        else:
+            e = np.exp(-np.abs(x0))
+            s.append(2.0 * e / (1.0 + e * e))
+        t.append(sum(s[i] * s[k - i] for i in range(k + 1)) / (k + 1))
+    return t, s
+
+
 @elementary
 def tanh(x0, order):
-    t = [np.tanh(x0)]
-    for k in range(1, order + 1):           # tanh' = 1 - tanh^2
-        t.append(((1.0 if k == 1 else 0.0) - sum(t[i] * t[k - 1 - i] for i in range(k))) / k)
-    return t
+    return _tanh_sech(x0, order)[0]
 
 
 @elementary
 def sech(x0, order):
-    t = tanh.__wrapped__(x0, order)
-    s = [1.0 / np.cosh(x0)]
-    for k in range(1, order + 1):           # sech' = -sech tanh
-        s.append(-sum(s[i] * t[k - 1 - i] for i in range(k)) / k)
-    return s
+    return _tanh_sech(x0, order + 1)[1]
 
 
 def _reciprocal(x: Jet) -> Jet:

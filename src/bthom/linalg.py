@@ -6,27 +6,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BthomError
+
 __all__ = [
     "NotBTError",
     "BorderedSingularError",
-    "InconsistentSystemError",
     "BTData",
     "bt_eigenstructure",
-    "bordered_solve",
     "bordered_solve_full",
 ]
 
 
-class NotBTError(Exception):
+class NotBTError(BthomError):
     """The matrix does not have a double, non-semisimple zero eigenvalue."""
 
-
-class BorderedSingularError(Exception):
-    pass
+    stage = "eig"
 
 
-class InconsistentSystemError(Exception):
-    """Right-hand side violates the Fredholm solvability condition."""
+class BorderedSingularError(BthomError):
+    stage = "cm"
 
 
 @dataclass
@@ -34,9 +32,7 @@ class BTData:
     """Eigendata of a Bogdanov-Takens linearization.
 
     Right vectors satisfy A q0 = 0, A q1 = q0 with q0^T q0 = 1, q1^T q0 = 0;
-    left vectors satisfy p1 A = 0, p0 A = p1 and p_i q_j = delta_ij.  The
-    critical normal-form coefficients a, b are filled in by the coefficient
-    chain.
+    left vectors satisfy p1 A = 0, p0 A = p1 and p_i q_j = delta_ij.
     """
 
     x0: np.ndarray
@@ -45,8 +41,6 @@ class BTData:
     q1: np.ndarray
     p1: np.ndarray
     p0: np.ndarray
-    a: float = float("nan")
-    b: float = float("nan")
 
     def residuals(self, A: np.ndarray) -> dict[str, float]:
         nA = np.linalg.norm(A, 2)
@@ -65,8 +59,7 @@ class BTData:
 def bordered_solve_full(A, p1, q0, y):
     """Solve the bordered system [[A, p1^T], [q0^T, 0]] (x, s) = (y, 0).
 
-    Returns (x, s).  For a consistent right-hand side s vanishes; callers that
-    want a hard failure on inconsistency use :func:`bordered_solve`.
+    Returns (x, s).  For a consistent right-hand side s vanishes.
     """
     A = np.asarray(A, float)
     n = A.shape[0]
@@ -81,16 +74,6 @@ def bordered_solve_full(A, p1, q0, y):
     except np.linalg.LinAlgError as exc:
         raise BorderedSingularError(f"bordered matrix is singular: {exc}") from exc
     return sol[:n], float(sol[n])
-
-
-def bordered_solve(A, p1, q0, y, fredholm_tol: float = 1e-6) -> np.ndarray:
-    """Bordered inverse of the singular A: x with A x = y and q0^T x = 0."""
-    x, s = bordered_solve_full(A, p1, q0, y)
-    ynorm = np.linalg.norm(np.asarray(y, float))
-    if abs(s) > fredholm_tol * max(ynorm, 1e-300):
-        raise InconsistentSystemError(
-            f"|s| = {abs(s):.3e} > {fredholm_tol:.0e}*||y||: Fredholm condition violated")
-    return x
 
 
 def _first_nonzero_sign(v: np.ndarray) -> float:
@@ -111,11 +94,10 @@ def bt_eigenstructure(A: np.ndarray):
     """
     A = np.asarray(A, float)
     n = A.shape[0]
-    nA = np.linalg.norm(A, 2)
+    U, sv, Vt = np.linalg.svd(A)
+    nA = sv[0]
     if nA == 0.0:
         raise NotBTError("zero matrix")
-
-    sv = np.linalg.svd(A, compute_uv=False)
     n_null = int(np.sum(sv < 1e-6 * nA))
     if n_null == 0:
         raise NotBTError("no zero eigenvalue (smallest singular value "
@@ -136,7 +118,6 @@ def bt_eigenstructure(A: np.ndarray):
         if lam[2] < 50 * max(lam[1], 1e-14 * nA):
             raise NotBTError("a third eigenvalue sits near zero (not codim 2)")
 
-    U, _, Vt = np.linalg.svd(A)
     q0 = Vt[-1]
     q0 = q0 * _first_nonzero_sign(q0)
     q0 = q0 / np.linalg.norm(q0)

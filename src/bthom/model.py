@@ -27,6 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import jet
+from .errors import BthomError
 from .jet import Jet
 
 __all__ = [
@@ -47,11 +48,13 @@ __all__ = [
     "HH_BT_ALPHA",
 ]
 
-class ModelError(Exception):
+class ModelError(BthomError):
     pass
 
 
 class ParseError(ModelError):
+    stage = "parse"
+
     def __init__(self, msg: str, line: int, col: int = 0):
         super().__init__(f"line {line}, col {col}: {msg}" if col else f"line {line}: {msg}")
         self.line = line
@@ -59,13 +62,15 @@ class ParseError(ModelError):
 
 
 class ModelEvalError(ModelError):
+    stage = "oracle"
+
     def __init__(self, msg: str, component: int | None = None):
         super().__init__(msg if component is None else f"component {component + 1}: {msg}")
         self.component = component
 
 
 class NonEquilibriumError(ModelError):
-    pass
+    stage = "locate"
 
 
 def _psi(x):

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BthomError
 from .jet import Jet
 from .linalg import BTData, bordered_solve_full, bt_eigenstructure
 from .model import MultilinearOracle, OdeModel, build_oracle, derivatives, eval_rhs
@@ -37,20 +38,16 @@ __all__ = [
 ]
 
 
-class NonGenericBTError(Exception):
+class NonGenericBTError(BthomError):
     """Genericity (a*b != 0) or transversality violated at the BT point."""
+
+    stage = "cm"
 
 
 class Variant(enum.Enum):
     ORBITAL = "orbital"
     SMOOTH = "smooth"
     HYPER = "hyper"
-
-
-_H_NAMES = ["H0010", "H0001", "H2000", "H1100", "H0200", "H1010", "H1001",
-            "H0110", "H0101", "H0002", "H0011", "H3000", "H2100", "H1101",
-            "H2001", "H0003", "H1002", "H0102"]
-_K_NAMES = ["K10", "K01", "K02", "K11", "K03"]
 
 
 def _taylor(terms: dict, z):
@@ -141,10 +138,8 @@ class CmExpansion:
         }
         if self.variant is not Variant.ORBITAL:
             out.update(a1=self.a1, b1=self.b1, d=self.d, e=self.e)
-        for name in _H_NAMES:
-            out[name] = self.H[name].tolist()
-        for name in _K_NAMES:
-            out[name] = self.K[name].tolist()
+        for name, c in (self.H | self.K).items():
+            out[name] = c.tolist()
         for i, g in enumerate(self.gamma, 1):
             out[f"gamma{i}"] = g
         for i, dl in enumerate(self.delta, 1):
@@ -358,15 +353,13 @@ def _compute_cm(oracle: MultilinearOracle, eig: BTData, variant: Variant) -> CmE
                       f"{solve_res:.2e}; the BT point may be close to "
                       "degenerate or the equilibrium inexact", stacklevel=3)
 
-    eig_filled = BTData(x0=eig.x0, alpha0=eig.alpha0, q0=q0, q1=q1, p1=p1, p0=p0,
-                        a=a, b=b)
     H = dict(H0010=H0010, H0001=H0001, H2000=H2000, H1100=H1100, H0200=H0200,
              H1010=H1010, H1001=H1001, H0110=H0110, H0101=H0101, H0002=H0002,
              H0011=H0011, H3000=H3000, H2100=H2100, H1101=H1101, H2001=H2001,
              H0003=H0003, H1002=H1002, H0102=H0102)
     K = dict(K10=K10, K01=K01, K02=K02, K11=K11, K03=K03)
     return CmExpansion(
-        variant=variant, eig=eig_filled, a=a, b=b,
+        variant=variant, eig=eig, a=a, b=b,
         a1=a1_nf, b1=b1_nf, d=d_nf, e=e_nf,
         theta1000=float(theta1000), theta0001=float(theta0001),
         H=H, K=K,
@@ -412,7 +405,6 @@ def analyze_bt(model: OdeModel, x0, alpha0, variant: Variant | str = Variant.ORB
         x0 = x0 + step
 
     oracle = build_oracle(model, x0, alpha0)
-    q0, q1, p1, p0 = bt_eigenstructure(oracle.A)
-    eig = BTData(x0=x0, alpha0=alpha0, q0=q0, q1=q1, p1=p1, p0=p0)
+    eig = BTData(x0, alpha0, *bt_eigenstructure(oracle.A))     # (q0, q1, p1, p0)
     expansion = _compute_cm(oracle, eig, variant)
     return oracle, expansion

@@ -19,7 +19,8 @@ import numpy as np
 
 from . import asymptotics as asy
 from .asymptotics import PhaseChoice
-from .jet import Jet
+from .errors import BthomError
+from .jet import Jet, as_jet
 from .nfcoeffs import CmExpansion, Variant
 
 __all__ = [
@@ -42,8 +43,10 @@ __all__ = [
 ]
 
 
-class NoConvergenceError(Exception):
+class NoConvergenceError(BthomError):
     """An iterative solve (time inversion, Newton correction) did not converge."""
+
+    stage = "newton"
 
 
 @dataclass(frozen=True)
@@ -175,8 +178,16 @@ def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
 
 
 def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
-    """Parameter predictor alpha(eps) = alpha0 + K(beta(eps)); eps may be a Jet."""
-    return expansion.alpha0 + expansion.K_eval(*_beta(expansion, method, eps))
+    """Parameter predictor alpha(eps) = alpha0 + K(beta(eps)); eps may be a Jet.
+    A blow-up that is not finite is a predictor-stage BthomError."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            alpha = expansion.alpha0 + expansion.K_eval(*_beta(expansion, method, eps))
+    except OverflowError:       # a float power of eps
+        alpha = np.inf
+    if not np.all(np.isfinite(as_jet(alpha).f)):
+        raise BthomError(f"the blow-up at eps = {eps!r} is not finite", stage="predictor")
+    return alpha
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +245,7 @@ def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 1
         eta = np.where(todo, new, eta)
     raise NoConvergenceError(
         f"time inversion did not converge for {np.count_nonzero(todo)} of "
-        f"{todo.size} times (first t = {target[todo][0]!r})")
+        f"{todo.size} times (first t = {target[todo][0]!r})", stage="predictor")
 
 
 # ---------------------------------------------------------------------------
@@ -289,21 +300,26 @@ def tangent_orientation(tangent_alpha1: float, expansion: CmExpansion, method,
 
 def sample_predictor(expansion: CmExpansion, method, eps: float,
                      mesh: Mesh | None = None, k: float | None = None) -> HomPredictor:
-    """Assemble the full predictor on a collocation mesh."""
+    """Assemble the full predictor on a collocation mesh.  A blow-up, T, eps0 or
+    eps1 that is not finite and > 0 is a predictor-stage BthomError."""
     m = _as_method(method)
     if mesh is None:
         mesh = make_mesh()
+    alpha = lift_parameters(expansion, m, eps)
     A0 = 6.0 * _smooth_family(expansion, eps)[1] ** 2 / abs(expansion.a)
     if k is None:
         k = eps * 1e-4
     T = ttol_to_T(k, eps, A0, expansion, m)
+    if not 0.0 < T < math.inf:
+        raise BthomError(f"half-return time T = {T!r} at k = {k!r}", stage="predictor")
 
     etas = invert_time(expansion, m, eps, -T + 2.0 * T * mesh.fine)
     orbit = lift_orbit(expansion, m, eps, etas)
-    alpha = lift_parameters(expansion, m, eps)
     s0 = saddle_point(expansion, m, eps)
     eps0 = float(np.linalg.norm(orbit[0] - s0))
     eps1 = float(np.linalg.norm(orbit[-1] - s0))
+    if not (0.0 < eps0 < math.inf and 0.0 < eps1 < math.inf):
+        raise BthomError(f"end distances eps0 = {eps0!r}, eps1 = {eps1!r}", stage="predictor")
     sign = float(np.sign(d_alpha_d_eps(expansion, m, eps)[0]))
     return HomPredictor(method=m, variant=expansion.variant, eps=eps,
                         alpha=alpha, T=T, mesh=mesh, orbit=orbit, s0=s0,

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from bthom.cli import _parse_amplitudes, main
-from bthom.linalg import BorderedSingularError, InconsistentSystemError
+import bthom
+from bthom.cli import UsageError, _parse_amplitudes, main
+from bthom.errors import BthomError
+from bthom.linalg import BorderedSingularError
 from bthom.predictor import NoConvergenceError
 
 
@@ -52,7 +54,7 @@ class TestAnalyze:
         code, _, err = run(["analyze", "--model", str(model),
                             "--x0", "0,0", "--alpha0", "0,0"], capsys)
         assert code == 3
-        assert "error" in err
+        assert err.startswith("error: ") and err.rstrip().endswith("(stage: eig)")
 
     def test_negative_fixed_parameter_under_even_power(self, capsys, tmp_path):
         model = tmp_path / "m.txt"
@@ -72,13 +74,14 @@ class TestAnalyze:
                             "--x0", "0,0", "--alpha0", "0,0"], capsys)
         assert code == 2
         assert err.startswith("model error: line 4")
+        assert err.rstrip().endswith("(stage: parse)")
 
     def test_non_generic_exits_3(self, capsys):
         code, _, err = run(["analyze", "--model", "bt_nf", "--coeff", "a=0"], capsys)
         assert code == 3
+        assert err.startswith("error: ") and err.endswith("(stage: cm)\n")
 
-    @pytest.mark.parametrize("error", [BorderedSingularError, InconsistentSystemError,
-                                       NoConvergenceError])
+    @pytest.mark.parametrize("error", [BorderedSingularError, NoConvergenceError])
     def test_numeric_error_exits_3(self, error, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise error("forced")
@@ -86,7 +89,31 @@ class TestAnalyze:
         monkeypatch.setattr("bthom.cli.analyze_bt", fail)
         code, _, err = run(["analyze", "--model", "bt_nf"], capsys)
         assert code == 3
-        assert err.splitlines()[-1].startswith("error: ")
+        assert err.splitlines()[-1] == f"error: forced (stage: {error.stage})"
+
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--model", "bt_nf", "--eps", "1e300", "--ntst", "10"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "1e300", "--orders", "3",
+         "--methods", "lp", "--ntst", "10"],
+        ["compare", "--model", "bt_nf", "--eps-range", "1e300:1e301:2"],
+        ["predict", "--model", "bt_nf", "--k", "1e-300", "--ntst", "10"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "1e-2", "--orders", "3",
+         "--methods", "lp", "--ntst", "10", "--k-factor", "1e-300"],
+    ], ids=["predict-eps-1e300", "converge-amplitude-1e300", "compare-eps-1e300",
+            "predict-k-1e-300", "converge-k-factor-1e-300"])
+    def test_unusable_predictor_exits_3_naming_its_stage(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("(stage: predictor)\n")
+
+    def test_every_exception_derives_from_bthom_error(self):
+        classes = {obj for mod in vars(bthom).values() if isinstance(mod, type(bthom))
+                   for obj in vars(mod).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__.startswith("bthom.")}
+        assert len(classes) == 10 and UsageError in classes
+        assert all(issubclass(c, BthomError) for c in classes - {UsageError})
 
     @pytest.mark.parametrize("argv", [
         ["analyze", "--nonsense"],

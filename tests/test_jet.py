@@ -71,6 +71,32 @@ def test_nested_jets_give_mixed_derivatives(fn, x0):
                 assert abs(got - want) <= 1e-13 * abs(want), (k, m, got, want)
 
 
+@pytest.mark.parametrize("x0", [0.3, 3.0, 25.0, -25.0, 800.0])
+@pytest.mark.parametrize("fn", [tanh, sech], ids=lambda f: f.__name__)
+def test_tanh_and_sech_keep_relative_accuracy_far_out(fn, x0):
+    # tanh^(k) = (sech^2)^(k - 1) for k >= 1: sech is not close to 1, so the
+    # reference loses no digits at large |x0|; any RuntimeWarning is an error
+    jet = fn(Jet.variable(x0, 3))
+    with mp.workdps(60):
+        for k in range(4):
+            if fn is tanh and k:
+                want = mp.diff(lambda z: mp.sech(z) ** 2, mp.mpf(x0), k - 1)
+            else:
+                want = mp.diff(NESTED[fn], mp.mpf(x0), k)
+            want = float(want / math.factorial(k))
+            got = float(jet.c[k])
+            assert abs(got - want) <= 1e-13 * abs(want), (k, got, want)
+
+
+@pytest.mark.parametrize("x0", [1e-8, 1e-3, 0.05, 0.9, 1.1, 30.0, 800.0])
+def test_logcosh_value_is_accurate_near_zero_and_far_out(x0):
+    with mp.workdps(40):
+        want = float(mp.log(mp.cosh(mp.mpf(x0))))
+    for x in (x0, -x0):
+        got = float(logcosh(x).c[0])
+        assert abs(got - want) <= 1e-15 * want, (x, got, want)
+
+
 def test_variable_and_power_zero_at_a_jet_base_point():
     inner = Jet.variable(0.4, 2)
     x = Jet.variable(inner, 3)

@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bthom.linalg import (BTData, BorderedSingularError,
-                          InconsistentSystemError, NotBTError, bordered_solve,
+from bthom.linalg import (BTData, BorderedSingularError, NotBTError,
                           bordered_solve_full, bt_eigenstructure)
 
 JORDAN = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -71,21 +70,17 @@ class TestEigenstructure:
 
 class TestBorderedSolve:
     def test_zero_rhs(self):
-        x = bordered_solve(JORDAN, [0, 1], [1, 0], [0, 0])
-        assert np.allclose(x, 0.0)
+        x, s = bordered_solve_full(JORDAN, [0, 1], [1, 0], [0, 0])
+        assert np.allclose(x, 0.0) and s == 0.0
 
     def test_hand_solved_system(self):
         # [[0,1,0],[0,0,1],[1,0,0]] (x, s) = (1, 0, 0) gives x = (0, 1), s = 0
-        x = bordered_solve(JORDAN, [0, 1], [1, 0], [1, 0])
-        assert np.allclose(x, [0, 1], atol=1e-14)
-
-    def test_fredholm_violation_raises(self):
-        with pytest.raises(InconsistentSystemError):
-            bordered_solve(JORDAN, [0, 1], [1, 0], [0, 1])
+        x, s = bordered_solve_full(JORDAN, [0, 1], [1, 0], [1, 0])
+        assert np.allclose(x, [0, 1], atol=1e-14) and abs(s) <= 1e-14
 
     def test_singular_bordered_matrix(self):
         with pytest.raises(BorderedSingularError):
-            bordered_solve(JORDAN, [1, 0], [1, 0], [1, 0])
+            bordered_solve_full(JORDAN, [1, 0], [1, 0], [1, 0])
 
     def test_round_trip(self, hh_orbital):
         oracle, ex = hh_orbital
@@ -106,6 +101,6 @@ class TestBorderedSolve:
         y1, y2 = rng.standard_normal((2, 4))
         y1 -= p1 * (p1 @ y1) / (p1 @ p1)
         y2 -= p1 * (p1 @ y2) / (p1 @ p1)
-        lhs = bordered_solve(A, p1, q0, y1 + y2)
-        rhs = bordered_solve(A, p1, q0, y1) + bordered_solve(A, p1, q0, y2)
+        lhs = bordered_solve_full(A, p1, q0, y1 + y2)[0]
+        rhs = bordered_solve_full(A, p1, q0, y1)[0] + bordered_solve_full(A, p1, q0, y2)[0]
         assert np.linalg.norm(lhs - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))

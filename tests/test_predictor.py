@@ -4,6 +4,7 @@ import scipy.optimize as so
 
 from conftest import NF_COEFFS, fit_slope
 from bthom.asymptotics import UNIT, PhaseChoice, lp_orbit_of_s, rp_orbit, smooth_tau
+from bthom.errors import BthomError
 from bthom.jet import Jet
 from bthom.model import builtin_model, eval_rhs, parse_model
 from bthom.nfcoeffs import analyze_bt
@@ -95,6 +96,13 @@ class TestParameters:
             assert al[1] == pytest.approx(10 / 7 * eps ** 2 + 288 / 2401 * eps ** 4,
                                           abs=1e-14)
 
+    @pytest.mark.parametrize("eps", [1e60, 1e300])
+    def test_blow_up_beyond_floating_point_is_a_predictor_error(self, eps, bt_nf_orbital):
+        _, ex = bt_nf_orbital
+        with pytest.raises(BthomError, match="blow-up .* not finite") as err:
+            lift_parameters(ex, LP, eps)
+        assert err.value.stage == "predictor"
+
 
 class TestTimeReparam:
     def test_identity_when_theta_vanishes(self, bt_nf_orbital):
@@ -127,8 +135,9 @@ class TestTimeReparam:
         _, ex = hh_orbital
         eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
         ts = np.linspace(-1.0, 1.0, 5) * ttol_to_T(eps * 1e-4, eps, 3e-2, ex, LP)
-        with pytest.raises(NoConvergenceError, match="did not converge for 4 of 5"):
+        with pytest.raises(NoConvergenceError, match="did not converge for 4 of 5") as err:
             invert_time(ex, LP, eps, ts, max_iter=1)
+        assert err.value.stage == "predictor"
 
     def test_bisection_safeguard_when_newton_overshoots(self, hh_orbital, monkeypatch):
         import bthom.predictor as pr
@@ -250,6 +259,15 @@ class TestSamplePredictor:
         # endpoint distances are near the requested tolerance
         assert 0.2e-5 < pred.eps0 < 5e-5
         assert 0.2e-5 < pred.eps1 < 5e-5
+
+    @pytest.mark.parametrize("eps, k, bad", [(1e300, None, "blow-up"),
+                                             (0.1, 1e-300, "eps0 = 0.0, eps1 = 0.0"),
+                                             (0.1, 5e-324, "T = inf")])
+    def test_unusable_predictor_is_a_predictor_error(self, eps, k, bad, bt_nf_orbital):
+        _, ex = bt_nf_orbital
+        with pytest.raises(BthomError, match=bad) as err:
+            sample_predictor(ex, LP, eps, make_mesh(10, 4), k=k)
+        assert err.value.stage == "predictor"
 
     @pytest.mark.parametrize("kind, phase", [("rp", PhaseChoice.L2),
                                              ("lp", PhaseChoice.ALTGAMMA)])
