@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .jet import Jet, as_jet, elementary, sech, tanh
+from .jet import Jet, elementary, sech, tanh
 
 __all__ = [
     "PhaseChoice",
@@ -112,14 +112,25 @@ def _eps_jet(terms, order: int) -> Jet:
     return Jet(*c)
 
 
-@elementary
+def _logcosh(x):
+    """log(cosh(x)), accurate near 0 and stable far out, each branch on its own points."""
+    a = np.abs(x)
+    near = a < 1.0
+    if not near.any():
+        return a + np.log1p(np.exp(-2.0 * a)) - LN2
+    if near.all():
+        h = np.sinh(0.5 * a)                    # cosh x = 1 + 2 sinh^2(x/2)
+        return np.log1p(2.0 * h * h)
+    out = np.empty_like(a)
+    out[near], out[~near] = _logcosh(a[near]), _logcosh(a[~near])
+    return out
+
+
+@elementary(_logcosh)
 def logcosh(x0, order):
-    """log(cosh(x)), accurate near 0 and stable for large |x|; its derivative is tanh."""
-    a = np.abs(x0)
-    h = np.sinh(0.5 * np.minimum(a, 1.0))       # cosh x = 1 + 2 sinh^2(x/2)
-    value = np.where(a < 1.0, np.log1p(2.0 * h * h), a + np.log1p(np.exp(-2.0 * a)) - LN2)
+    """log(cosh(x)); its derivative is tanh."""
     t = tanh(Jet.variable(x0, order - 1)).c if order else ()
-    return [value] + [tk / (k + 1) for k, tk in enumerate(t)]
+    return [tk / (k + 1) for k, tk in enumerate(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +427,7 @@ def _xi_terms_altgamma(s):
 def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
             order: int = 3, coeffs=UNIT):
     """xi(s) = s + sum_i xi_i(s) eps^i with the phase-appropriate constants."""
-    acc = _series((as_jet(s),) + _lp_parts(phase, coeffs)[2](s), eps, order)
-    return acc if isinstance(s, Jet) else acc.f
+    return _series((s,) + _lp_parts(phase, coeffs)[2](s), eps, order)
 
 
 def lp_orbit_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,

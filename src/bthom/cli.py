@@ -158,7 +158,9 @@ def cmd_predict(args) -> int:
     try:
         pred = sample_predictor(ex, method, args.eps, mesh, k=args.k)
     except ValueError as exc:   # the end distance k is outside (0, A0)
-        raise UsageError(f"--k: {exc}") from None
+        msg = f"--k: {exc}" if args.k is not None else (
+            f"the default end distance k = eps*1e-4: {exc}; give a smaller --k")
+        raise UsageError(msg) from None
     _emit(args.out, json.dumps(pred.as_dict(), indent=2) + "\n")
     return 0
 

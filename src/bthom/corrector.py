@@ -518,7 +518,7 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
     test without meeting the stopping test, or where the model fails or the
     residual diverges, is discarded, and the next step is a full one from a
     fresh Jacobian at the current point.  The stopping test is
-    ``|r| <= tol (1 + max|z0|)`` throughout.
+    ``|r| <= tol (1 + max|z0|)`` throughout; a trial point that meets it is returned.
 
     Returns the corrected unknowns and the number of steps, full and
     simplified.  ``max_iter`` bounds that number: simplified steps converge
@@ -543,18 +543,18 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
     r = bvp_residual(bvp, z)
     if not np.max(np.abs(r)) < huge:
         raise NoConvergenceError("residual diverged")
+    if np.linalg.norm(r) <= limit:
+        return z, 0
     simplified = False
     for it in range(1, max_iter + 1):
-        rn = np.linalg.norm(r)
-        if rn <= limit:
-            return z, it - 1
         if simplified:                   # the held factorization's correction bar
             z_new = z + bar
             r_new = residual_or_none(z_new)
             if r_new is not None:
+                if np.linalg.norm(r_new) <= limit:
+                    return z_new, it
                 bar_new = solve(r_new)
-                if (np.linalg.norm(bar_new) < 0.25 * np.linalg.norm(bar)
-                        or np.linalg.norm(r_new) <= limit):
+                if np.linalg.norm(bar_new) < 0.25 * np.linalg.norm(bar):
                     z, r, bar = z_new, r_new, bar_new
                     continue
         J = bvp_jacobian(bvp, z)
@@ -572,18 +572,18 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
             z_new = z + damp * step
             r_new = residual_or_none(z_new)
             if r_new is not None:
+                if np.linalg.norm(r_new) <= limit:
+                    return z_new, it
                 bar = solve(r_new)       # the simplified correction at z_new
                 if np.linalg.norm(bar) < step_norm:
                     break
             damp *= 0.5
         else:
-            raise NoConvergenceError(f"no descent after damping (residual {rn:.3e})")
+            raise NoConvergenceError(
+                f"no descent after damping (residual {np.linalg.norm(r):.3e})")
         z, r = z_new, r_new
         simplified = damp == 1.0 and np.linalg.norm(bar) < 0.25 * step_norm
-    rn = np.linalg.norm(r)
-    if rn <= limit:
-        return z, max_iter
-    raise NoConvergenceError(f"Newton stalled at residual {rn:.3e}")
+    raise NoConvergenceError(f"Newton stalled at residual {np.linalg.norm(r):.3e}")
 
 
 def correct_predictor(model: OdeModel, pred: HomPredictor,

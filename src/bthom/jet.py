@@ -2,8 +2,10 @@
 
 Pushing x0 + t v through a program in :class:`Jet` arithmetic gives its k-th
 directional derivative along v as k! c[k], exact up to rounding (Griewank &
-Walther, Evaluating Derivatives, SIAM 2008, ch. 13).  Model code is compiled
-a second time with this module in place of numpy.
+Walther, Evaluating Derivatives, SIAM 2008, ch. 13).  Each elementary function
+given a plain argument returns its plain value, the value coefficient of its
+jets at every order, so model code is compiled once against this module and
+evaluated on arrays and on jets alike.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-__all__ = ["Jet", "as_jet", "elementary", "exp", "log", "sqrt", "cosh", "sinh", "tanh",
+__all__ = ["Jet", "elementary", "exp", "log", "sqrt", "cosh", "sinh", "tanh",
            "sech", "psi"]
 
 
@@ -105,11 +107,6 @@ class Jet:
         return (self ** (k // 2)) ** 2
 
 
-def as_jet(x) -> Jet:
-    """x itself if it is a Jet, else the constant jet of x."""
-    return x if isinstance(x, Jet) else Jet(np.asarray(x, float) + 0.0)
-
-
 def _compose(x: Jet, g) -> Jet:
     """phi(x), from phi's Taylor coefficients g[k] = phi^(k)(x0) / k! at x0 = x.c[0].
 
@@ -127,83 +124,88 @@ def _compose(x: Jet, g) -> Jet:
     return Jet(*out)
 
 
-def elementary(taylor):
-    """The jet function of phi, where taylor(x0, K) lists phi's Taylor
-    coefficients at an array x0 up to order K.  The base point may itself be a
-    jet (nested jets); see `_taylor_at`."""
-    @functools.wraps(taylor)
-    def apply(x):
-        x = as_jet(x)
-        return _compose(x, _taylor_at(taylor, x.c[0], x.order))
-    return apply
+def elementary(value):
+    """Decorator: phi from value, phi on arrays, and the decorated taylor(x0, K),
+    which lists phi's Taylor coefficients g[1..K] at an array x0.  A plain x gives
+    value(x); a jet gives the jet of phi, whose value coefficient is value(x0) at
+    every order.  The base point may itself be a jet (nested jets); see `_taylor_at`."""
+    def wrap(taylor):
+        @functools.wraps(taylor)
+        def apply(x):
+            if not isinstance(x, Jet):
+                return value(x)
+            return _compose(x, _taylor_at(value, taylor, x.c[0], x.order))
+        return apply
+    return wrap
 
 
-def _taylor_at(taylor, x0, order: int) -> list:
+def _taylor_at(value, taylor, x0, order: int) -> list:
     """phi's Taylor coefficients phi^(k)(x0) / k!, k <= order, at x0 an array or a jet.
 
     At a jet x0 each is the jet of phi^(k) / k! at x0, whose own Taylor
     coefficients at x0's base point are C(k + m, k) g[k + m], g phi's there.
     """
     if not isinstance(x0, Jet):
-        return taylor(x0, order)
-    g = _taylor_at(taylor, x0.c[0], order + x0.order)
+        return [value(x0)] + taylor(x0, order)
+    g = _taylor_at(value, taylor, x0.c[0], order + x0.order)
     return [_compose(x0, [math.comb(k + m, k) * g[k + m] for m in range(x0.order + 1)])
             for k in range(order + 1)]
 
 
-@elementary
+@elementary(np.exp)
 def exp(x0, order):
     e = np.exp(x0)
-    return [e / math.factorial(k) for k in range(order + 1)]
+    return [e / math.factorial(k) for k in range(1, order + 1)]
 
 
-@elementary
+@elementary(np.log)
 def log(x0, order):
-    return [np.log(x0)] + [(-1) ** (k + 1) / (k * x0 ** k) for k in range(1, order + 1)]
+    return [(-1) ** (k + 1) / (k * x0 ** k) for k in range(1, order + 1)]
 
 
-@elementary
+@elementary(np.sqrt)
 def sqrt(x0, order):
     g = [np.sqrt(x0)]
     for k in range(1, order + 1):           # binomial series of (x0 + h)^(1/2)
         g.append(g[-1] * (1.5 - k) / (k * x0))
-    return g
+    return g[1:]
 
 
-@elementary
+@elementary(np.cosh)
 def cosh(x0, order):
     pair = np.cosh(x0), np.sinh(x0)
-    return [pair[k % 2] / math.factorial(k) for k in range(order + 1)]
+    return [pair[k % 2] / math.factorial(k) for k in range(1, order + 1)]
 
 
-@elementary
+@elementary(np.sinh)
 def sinh(x0, order):
     pair = np.sinh(x0), np.cosh(x0)
-    return [pair[k % 2] / math.factorial(k) for k in range(order + 1)]
+    return [pair[k % 2] / math.factorial(k) for k in range(1, order + 1)]
+
+
+def _sech(x):          # 2 e^-|x| / (1 + e^-2|x|): accurate where cosh(x) overflows
+    e = np.exp(-np.abs(x))
+    return 2.0 * e / (1.0 + e * e)
 
 
 def _tanh_sech(x0, order):
-    """tanh's Taylor coefficients at x0 to ``order`` and sech's to order - 1, from tanh' =
-    sech^2, sech' = -sech tanh and sech(x0) = 2 e^-|x0| / (1 + e^-2|x0|), accurate far out."""
+    """tanh's Taylor coefficients at x0 to ``order`` and sech's to order - 1, from
+    tanh' = sech^2 and sech' = -sech tanh, which keep them accurate far out."""
     t, s = [np.tanh(x0)], []
     for k in range(order):
-        if k:
-            s.append(-sum(s[i] * t[k - 1 - i] for i in range(k)) / k)
-        else:
-            e = np.exp(-np.abs(x0))
-            s.append(2.0 * e / (1.0 + e * e))
+        s.append(-sum(s[i] * t[k - 1 - i] for i in range(k)) / k if k else _sech(x0))
         t.append(sum(s[i] * s[k - i] for i in range(k + 1)) / (k + 1))
     return t, s
 
 
-@elementary
+@elementary(np.tanh)
 def tanh(x0, order):
-    return _tanh_sech(x0, order)[0]
+    return _tanh_sech(x0, order)[0][1:]
 
 
-@elementary
+@elementary(_sech)
 def sech(x0, order):
-    return _tanh_sech(x0, order + 1)[1]
+    return _tanh_sech(x0, order + 1)[1][1:]
 
 
 def _reciprocal(x: Jet) -> Jet:
@@ -234,14 +236,21 @@ def _psi_series(order: int) -> np.ndarray:
     return M
 
 
-@elementary
+def _psi(x):
+    """x / expm1(x), continued through 0 by 1 - x/2 + x^2/12 below |x| = 1e-7."""
+    small = np.abs(x) < 1e-7
+    den = np.where(small, 1.0, np.expm1(np.where(small, 0.0, x)))
+    return np.where(small, 1.0 - x / 2.0 + x * x / 12.0, x / den)
+
+
+@elementary(_psi)
 def psi(x0, order):
     """x / (exp(x) - 1), continued with psi(0) = 1.
 
-    For |x0| < 1 the Taylor coefficients come from the Bernoulli series
-    sum_n C(n, k) beta_n x0^(n - k), whose radius is 2 pi; elsewhere from
-    x / expm1(x) in jet arithmetic, which loses a factor 1/|expm1(x0)| per
-    order and so is kept away from 0.
+    For |x0| < 1 the Taylor coefficients of order >= 1 come from the Bernoulli
+    series sum_n C(n, k) beta_n x0^(n - k), whose radius is 2 pi; elsewhere
+    from x / expm1(x) in jet arithmetic, which loses a factor 1/|expm1(x0)|
+    per order and so is kept away from 0.
     """
     small = np.abs(x0) < 1.0
     series = quotient = [0.0] * (order + 1)
@@ -251,4 +260,4 @@ def psi(x0, order):
     if not small.all():
         t = Jet.variable(np.where(small, 1.0, x0), order)
         quotient = (t / Jet(np.expm1(t.c[0]), *exp(t).c[1:])).c
-    return [np.where(small, s, q) for s, q in zip(series, quotient)]
+    return [np.where(small, s, q) for s, q in zip(series[1:], quotient[1:])]

@@ -73,29 +73,9 @@ class NonEquilibriumError(ModelError):
     stage = "locate"
 
 
-def _psi(x):
-    """x / (exp(x) - 1), continued through x = 0."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-7
-    den = np.where(small, 1.0, np.expm1(np.where(small, 0.0, x)))
-    series = 1.0 - x / 2.0 + x * x / 12.0
-    return np.where(small, series, x / den)
-
-
-def _sech(x):
-    return 1.0 / np.cosh(x)
-
-
-_FUNCTIONS = {
-    "exp": "np.exp",
-    "log": "np.log",
-    "cosh": "np.cosh",
-    "sinh": "np.sinh",
-    "tanh": "np.tanh",
-    "sqrt": "np.sqrt",
-    "sech": "_sech",
-    "psi": "_psi",
-}
+# the functions model code may call, its namespace: each takes arrays and jets alike
+_FUNCTIONS = {name: getattr(jet, name)
+              for name in ("exp", "log", "cosh", "sinh", "tanh", "sqrt", "sech", "psi")}
 
 
 # ---------------------------------------------------------------------------
@@ -103,18 +83,18 @@ _FUNCTIONS = {
 # ---------------------------------------------------------------------------
 
 _OPERATORS = {"+", "-", "*", "/", "^", "(", ")"}
-# Name, Attribute, Subscript and Tuple come only from the renaming: np.exp, x[..., i]
+# Subscript and Tuple come only from the renaming: x[..., i]
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant, ast.Name,
-          ast.Attribute, ast.Subscript, ast.Tuple, ast.Load, ast.Add, ast.Sub, ast.Mult,
-          ast.Div, ast.Pow, ast.USub)
+          ast.Subscript, ast.Tuple, ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div,
+          ast.Pow, ast.USub)
 
 
 def _expr_code(text: str, line: int, names: dict) -> str:
     """The Python code of one right-hand side; any failure is a ParseError on ``line``.
 
     Python's tokenizer splits ``text`` (columns are 1-based in it).  Names map
-    through _FUNCTIONS or ``names``, ``^`` becomes ``**``, unary plus is dropped
-    and numbers become floats, except an exponent, an int for Jet.__pow__.
+    through ``names`` unless they are _FUNCTIONS, ``^`` becomes ``**``, unary plus
+    is dropped and numbers become floats, except an exponent, an int for Jet.__pow__.
     Python's parser then builds the tree, which may hold only arithmetic,
     one-argument calls and integer exponents with at most one sign.
     """
@@ -135,7 +115,7 @@ def _expr_code(text: str, line: int, names: dict) -> str:
             table, kind = (_FUNCTIONS, "function") if after == "(" else (names, "identifier")
             if s not in table:
                 raise ParseError(f"unknown {kind} {s!r}", line, col)
-            out.append(table[s])
+            out.append(s if table is _FUNCTIONS else table[s])
         elif tok.type == tokenize.NUMBER:
             try:
                 v = float(s)
@@ -163,8 +143,8 @@ def _expr_code(text: str, line: int, names: dict) -> str:
             if not (isinstance(e, ast.Constant) and type(e.value) is int):
                 raise ParseError("exponent must be an integer literal", line)
         if (not isinstance(node, _NODES) or isinstance(node, ast.Tuple) and not node.elts
-                or isinstance(node, ast.Call) and (len(node.args) != 1 or not isinstance(
-                    node.func, (ast.Name, ast.Attribute)))):
+                or isinstance(node, ast.Call) and (len(node.args) != 1
+                                                   or not isinstance(node.func, ast.Name))):
             raise ParseError("malformed expression", line)
     return code
 
@@ -178,9 +158,10 @@ class OdeModel:
     """Parsed n-dimensional vector field with two active parameters.
 
     Immutable after construction; ``rhs`` holds Python code strings, one per
-    component, compiled once and evaluated in a numpy namespace and, for
-    derivatives, in the Taylor-jet namespace of :mod:`bthom.jet`.  Code that
-    does not compile raises :class:`ParseError`, its line the position in rhs.
+    component, each compiled once against the functions of :mod:`bthom.jet`,
+    which take plain arrays and Taylor jets alike: :func:`eval_rhs` runs them
+    on arrays and :func:`derivatives` on jets.  Code that does not compile
+    raises :class:`ParseError`, its line the position in rhs.
     """
 
     dim: int
@@ -188,23 +169,16 @@ class OdeModel:
     active_params: tuple[str, str]
     fixed_params: dict[str, float]
     name: str = "model"
-    _component_fns: list = field(default_factory=list, repr=False)
-    _jet_fns: list = field(default_factory=list, repr=False)
+    _fns: list = field(default_factory=list, repr=False)
 
     def __post_init__(self):
-        numpy_ns = {"np": np, "_psi": _psi, "_sech": _sech}
-        jet_ns = {"np": jet, "_psi": jet.psi, "_sech": jet.sech}
-        self._component_fns, self._jet_fns = [], []
+        self._fns = []
         for i, code in enumerate(self.rhs):
             try:
                 fn = compile("lambda x, a: " + code, f"<{self.name}:x{i+1}'>", "eval")
             except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
                 raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from None
-            self._component_fns.append(eval(fn, numpy_ns))
-            self._jet_fns.append(eval(fn, jet_ns))
-
-    def __call__(self, x, alpha):
-        return eval_rhs(self, x, alpha)
+            self._fns.append(eval(fn, dict(_FUNCTIONS)))   # eval adds __builtins__ to a copy
 
 
 def parse_model(text: str, name: str = "model") -> OdeModel:
@@ -281,36 +255,13 @@ def parse_model(text: str, name: str = "model") -> OdeModel:
                     fixed_params=fixed, name=name)
 
 
-def _columns(fns, *args) -> list:
-    """Each component function at ``args``; an arithmetic error names its component."""
-    cols = []
-    with np.errstate(all="ignore"):
-        for i, fn in enumerate(fns):
-            try:
-                cols.append(fn(*args))
-            except ArithmeticError as exc:     # constant subexpressions: 1/0, 10^400
-                raise ModelEvalError(f"{type(exc).__name__}: {exc}", component=i) from None
-    return cols
-
-
 def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
     """Evaluate the vector field at state ``x`` and active parameters ``alpha``.
 
     Accepts single points (shape ``(n,)``/``(2,)``) or batches with matching
     leading dimensions; broadcasting follows numpy rules.
     """
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if x.shape[-1] != model.dim:
-        raise ModelEvalError(f"state has dimension {x.shape[-1]}, expected {model.dim}")
-    if alpha.shape[-1] != 2:
-        raise ModelEvalError(f"expected 2 active parameters, got {alpha.shape[-1]}")
-    with np.errstate(all="ignore"):     # values broadcast to the batch shape
-        cols = [c + 0.0 * x[..., 0] for c in _columns(model._component_fns, x, alpha)]
-    for i, c in enumerate(cols):
-        if not np.all(np.isfinite(c)):
-            raise ModelEvalError("non-finite value (domain error in expression)", component=i)
-    return np.stack(np.broadcast_arrays(*cols), axis=-1)
+    return np.stack(np.broadcast_arrays(*[c for c, in _columns(model, x, alpha)]), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +302,37 @@ def _polarization(d: int, order: int):
     return np.array([np.bincount(t, minlength=d) for t in tuples], dtype=float), maps
 
 
+def _columns(model: OdeModel, x, alpha, order: int = 0) -> list:
+    """The Taylor coefficients of each component of f at (x, alpha): its value,
+    broadcast to the batch of x, at ``order`` 0, else those of its order-``order``
+    jet along the directions of :func:`_polarization`.  Inputs of the wrong
+    length, arithmetic errors and non-finite values raise :class:`ModelEvalError`;
+    the last two name the component.
+    """
+    n, x, alpha = model.dim, np.asarray(x, dtype=float), np.asarray(alpha, dtype=float)
+    if x.shape[-1] != n or alpha.shape[-1] != 2:
+        raise ModelEvalError(f"state and parameters have lengths {x.shape[-1]} and "
+                             f"{alpha.shape[-1]}, expected {n} and 2")
+    args = (x, alpha)
+    if order:
+        dirs = _polarization(n + 2, order)[0]
+        args = [_Variables(Jet(p[..., None, i], dirs[:, i + offset], *[0.0] * (order - 1))
+                           for i in range(p.shape[-1])) for p, offset in ((x, 0), (alpha, n))]
+    cols = []
+    with np.errstate(all="ignore"):
+        for i, fn in enumerate(model._fns):
+            try:
+                c = fn(*args)
+            except ArithmeticError as exc:     # constant subexpressions: 1/0, 10^400
+                raise ModelEvalError(f"{type(exc).__name__}: {exc}", component=i) from None
+            c = c.c if isinstance(c, Jet) else (c if order else c + 0.0 * x[..., 0],)
+            if not all(np.isfinite(ck).all() for ck in c):
+                raise ModelEvalError("non-finite value (domain error in expression)",
+                                     component=i)
+            cols.append(c)
+    return cols
+
+
 def derivatives(model: OdeModel, x, alpha, order: int = 1) -> list[np.ndarray]:
     """Derivatives of f over the joint (x, alpha) space of d = n + 2 variables.
 
@@ -362,26 +344,18 @@ def derivatives(model: OdeModel, x, alpha, order: int = 1) -> list[np.ndarray]:
     :func:`_polarization` (Griewank, Utke & Walther, Math. Comp. 69, 2000).
     Each tensor is exact up to rounding relative to its largest entries: the
     polarization subtracts directional coefficients, so a small mixed entry
-    next to large pure ones carries their rounding error.  Non-finite values
-    raise :class:`ModelEvalError` naming the component, as in :func:`eval_rhs`.
+    next to large pure ones carries their rounding error.  The model code is
+    the one :func:`eval_rhs` runs, through the same checks: inputs of the
+    wrong length and non-finite values raise :class:`ModelEvalError`.
     """
     n = model.dim
-    x = np.asarray(x, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
     dirs, maps = _polarization(n + 2, order)
-    variables = [_Variables(Jet(p[..., None, i], dirs[:, i + offset], *[0.0] * (order - 1))
-                            for i in range(p.shape[-1])) for p, offset in ((x, 0), (alpha, n))]
-    cols = [jet.as_jet(c) for c in _columns(model._jet_fns, *variables)]
-    coeffs = np.zeros((n, order + 1) + np.broadcast_shapes(x.shape[:-1], alpha.shape[:-1])
-                      + (len(dirs),))
+    cols = _columns(model, x, alpha, order)
+    batch = np.broadcast_shapes(np.shape(x)[:-1], np.shape(alpha)[:-1])
+    coeffs = np.zeros((order + 1,) + batch + (n, len(dirs)))
     for i, col in enumerate(cols):
-        for k, c in enumerate(col.c):
-            coeffs[i, k] = c
-    finite = np.isfinite(coeffs).reshape(n, -1).all(axis=1)
-    if not finite.all():
-        raise ModelEvalError("non-finite value (domain error in expression)",
-                             component=int(np.argmin(finite)))
-    coeffs = np.moveaxis(coeffs, 0, -2)                  # (order + 1, ..., n, m)
+        for k, c in enumerate(col):
+            coeffs[k, ..., i, :] = c
     return [coeffs[1][..., :n + 2]] + [(ck @ W.T)[..., pos]
                                         for ck, (W, pos) in zip(coeffs[2:], maps)]
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import asymptotics as asy
 from .asymptotics import PhaseChoice
 from .errors import BthomError
-from .jet import Jet, as_jet
+from .jet import Jet
 from .nfcoeffs import CmExpansion, Variant
 
 __all__ = [
@@ -185,7 +185,7 @@ def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
             alpha = expansion.alpha0 + expansion.K_eval(*_beta(expansion, method, eps))
     except OverflowError:       # a float power of eps
         alpha = np.inf
-    if not np.all(np.isfinite(as_jet(alpha).f)):
+    if not np.all(np.isfinite(alpha.f if isinstance(alpha, Jet) else alpha)):
         raise BthomError(f"the blow-up at eps = {eps!r} is not finite", stage="predictor")
     return alpha
 
@@ -277,7 +277,7 @@ def ttol_to_T(k: float, eps: float, A0: float, expansion: CmExpansion,
               method) -> float:
     """Half-return time from the end-point distance k (TTolerance)."""
     if not 0.0 < k < A0:
-        raise ValueError("need 0 < k < A0")
+        raise ValueError(f"need 0 < k < A0, got k = {k:.6g} and A0 = {A0:.6g}")
     eta_end = float(np.arccosh(math.sqrt(A0 / k))) / abs(_smooth_family(expansion, eps)[1])
     return float(time_reparam(expansion, method, eps, eta_end))
 

@@ -6,7 +6,6 @@ checked against.
 """
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import sympy as sp
@@ -124,10 +123,9 @@ def model_forms(model, x0, alpha0):
     """SymbolicForms of a parsed model at (x0, alpha0), read from its code strings."""
     xvars = sp.symbols(f"x1:{model.dim + 1}")
     pvars = sp.symbols("p1 p2")
-    ns = {"np": SimpleNamespace(exp=sp.exp, log=sp.log, cosh=sp.cosh, sinh=sp.sinh,
-                                tanh=sp.tanh, sqrt=sp.sqrt),
-          "_psi": lambda z: z / (sp.exp(z) - 1),
-          "_sech": lambda z: 1 / sp.cosh(z),
+    ns = {"exp": sp.exp, "log": sp.log, "cosh": sp.cosh, "sinh": sp.sinh,
+          "tanh": sp.tanh, "sqrt": sp.sqrt, "psi": lambda z: z / (sp.exp(z) - 1),
+          "sech": lambda z: 1 / sp.cosh(z),
           "x": _Components(xvars), "a": _Components(pvars)}
     exprs = [eval(code, ns) for code in model.rhs]
     return SymbolicForms(exprs, xvars, pvars, x0, alpha0)

@@ -112,7 +112,9 @@ class TestRegularPerturbation:
         assert np.max(np.abs(u.f - rp_orbit(s, 0.1, phase)[0])) <= 1e-15
         assert np.max(np.abs(u.d - (up - um) / (2 * h))) <= 1e-8
         assert np.max(np.abs(v.d - (vp - vm) / (2 * h))) <= 1e-8
-        assert np.max(np.abs(xi_of_s(s, Jet.variable(0.1, 1)) - xi_of_s(s, 0.1))) <= 1e-15
+        xi = xi_of_s(s, Jet.variable(0.1, 1))
+        assert np.max(np.abs(xi.f - xi_of_s(s, 0.1))) <= 1e-15
+        assert np.max(np.abs(xi.d - (xi_of_s(s, 0.1 + h) - xi_of_s(s, 0.1 - h)) / (2 * h))) <= 1e-8
 
     def test_altgamma_not_supported(self):
         with pytest.raises(ValueError):

@@ -184,6 +184,16 @@ class TestPredict:
         assert len(data["orbit"][0]) == 2
 
 
+    def test_default_end_distance_above_a0_names_the_default(self, capsys):
+        argv = ["predict", "--model", "bt_nf", "--eps", "1e-5", "--ntst", "10"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "default end distance k = eps*1e-4" in err and "--k" in err
+        assert "k = 1e-09" in err and "A0 = 6e-10" in err
+        assert run(argv + ["--k", "1e-12"], capsys)[0] == 0
+
     @pytest.mark.parametrize("argv", [["--variant", "hyper", "--phase", "altgamma"],
                                       ["--method", "rp", "--phase", "altgamma"],
                                       ["--method", "lp", "--phase", "l2"]])

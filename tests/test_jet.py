@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from bthom.asymptotics import logcosh
@@ -93,8 +94,34 @@ def test_logcosh_value_is_accurate_near_zero_and_far_out(x0):
     with mp.workdps(40):
         want = float(mp.log(mp.cosh(mp.mpf(x0))))
     for x in (x0, -x0):
-        got = float(logcosh(x).c[0])
+        got = float(logcosh(x))
         assert abs(got - want) <= 1e-15 * want, (x, got, want)
+
+
+EDGES = [1e-8, 0.5, 1 - 1e-6, 1.0, 1 + 1e-6, 30.0, 800.0]
+
+
+def test_logcosh_of_a_mixed_array_matches_elementwise_calls():
+    x = np.array([s * v for v in EDGES for s in (1.0, -1.0)])
+    got = logcosh(x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, [logcosh(float(v)) for v in x])
+
+
+GRID = np.array([s * v for v in (0.0, 1e-9, 9.99e-8, 1e-7, 1 - 1e-6, 1.0, 1 + 1e-6, 30.0, 800.0)
+                 for s in (1.0, -1.0)])
+
+
+@pytest.mark.parametrize("fn", list(NESTED), ids=lambda f: f.__name__)
+def test_plain_argument_gives_the_value_coefficient_of_every_order(fn):
+    # exp, cosh and sinh overflow at 800; log and sqrt take positive x
+    x = GRID if fn in (psi, sech, tanh, logcosh) else GRID[np.abs(GRID) < 100]
+    x = x[x > 0] if fn in (log, sqrt) else x
+    with np.errstate(over="ignore", invalid="ignore"):     # psi's expm1 at 800
+        value = fn(x)
+        assert not isinstance(value, Jet)
+        for order in (1, 2, 3):
+            assert np.array_equal(fn(Jet.variable(x, order)).c[0], value), order
 
 
 def test_variable_and_power_zero_at_a_jet_base_point():

@@ -165,6 +165,24 @@ class TestEvaluation:
                 evaluate(m, [1.0, 1.0], [0.0, 0.0])
             assert exc.value.component == 1
 
+    @pytest.mark.parametrize("x, alpha", [([0.0], [0.0, 0.0]), ([0.0] * 3, [0.0, 0.0]),
+                                          ([0.0, 0.0], [0.0]), ([0.0, 0.0], [0.0] * 3)],
+                             ids=["state-1", "state-3", "params-1", "params-3"])
+    def test_input_of_the_wrong_length_is_a_model_error(self, x, alpha):
+        m = builtin_model("bt_nf")
+        for evaluate in (eval_rhs, derivatives):
+            with pytest.raises(ModelEvalError, match="expected") as exc:
+                evaluate(m, x, alpha)
+            assert exc.value.stage == "oracle" and exc.value.component is None
+
+    def test_constant_component_in_a_batch(self):
+        m = parse_model("dim 2\npar a b\nx1' = 2\nx2' = a + x1^2\n")
+        xs = np.arange(10.0).reshape(5, 2)
+        assert np.array_equal(eval_rhs(m, xs, [1.0, 0.0])[:, 0], np.full(5, 2.0))
+        J, T2 = derivatives(m, xs, np.zeros(2), 2)
+        assert J.shape == (5, 2, 4) and T2.shape == (5, 2, 4, 4)
+        assert not J[:, 0].any() and np.array_equal(J[:, 1, 0], 2 * xs[:, 0])
+
     def test_batched_evaluation(self):
         m = parse_model(TOP_NF)
         xs = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.5]])
