@@ -14,6 +14,10 @@ coefficients; the orbital oscillator is the family at UNIT.  v(0) = 0 reads the
 smooth closed forms; the L2 (RP) and alternative-gamma (LP) phases exist at
 UNIT only.  LP is the source of truth: RP, its integral and L2 (the v(0) = 0
 series at a shifted time) are read from the LP series expanded in eps.
+
+Polynomials in zeta = tanh(xi) are `numpy.polynomial.polynomial` coefficient
+arrays, lowest degree first; the exact-rational engine holds Fractions in
+object arrays.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from functools import lru_cache, partial, reduce
 from math import comb
 
 import numpy as np
+from numpy.polynomial import polynomial as P
 
 from .jet import Jet, elementary, sech, tanh
 
@@ -182,80 +187,26 @@ def In_closed(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exact-rational polynomial helpers (dense, ascending degree)
+# the Lindstedt-Poincare recursion on polynomials in zeta = tanh(xi)
 # ---------------------------------------------------------------------------
-
-def _trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    return _trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0)
-                  for i in range(n)])
-
-
-def _pscale(p, c):
-    return _trim([c * x for x in p])
-
-
-def _pmul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
-
-
-def _pderiv(p):
-    return _trim([i * p[i] for i in range(1, len(p))]) if len(p) > 1 else [0 * p[0]]
-
-
-def _pinteg(p):
-    # antiderivative vanishing at 0; int/Fraction coefficients stay exact
-    out = [0 * p[0]]
-    for i, a in enumerate(p):
-        out.append(a / (i + 1.0) if isinstance(a, float) else Fraction(a) / (i + 1))
-    return _trim(out)
-
-
-def _peval(p, x):
-    out = 0 * p[0]
-    for a in reversed(p):
-        out = out * x + a
-    return out
-
 
 def _peval_eps_jet(polys, x, order: int) -> Jet:
     """The eps-jet (see `_eps_jet`) of sum_k eps^k polys[k](x), k <= order.  An
     eps-jet x enters term k truncated at eps^(order - k), all that term needs."""
-    return _eps_jet([_peval(p, Jet(*x.c[:order + 1 - k]) if isinstance(x, Jet) else x)
+    return _eps_jet([P.polyval(Jet(*x.c[:order + 1 - k]) if isinstance(x, Jet) else x, p)
                      for k, p in enumerate(polys[:order + 1])], order)
 
 
 def _pdivexact(num, den, exact: bool):
-    """Polynomial long division; the remainder must vanish."""
-    num = list(num)
-    q = [0 * den[0]] * max(len(num) - len(den) + 1, 1)
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] / dlead
-        q[i] = c
-        if c != 0:
-            for j, b in enumerate(den):
-                num[i + j] -= c * b
+    """The quotient num / den, whose remainder must vanish: exactly for Fraction
+    coefficients, to 1e-9 of the quotient's scale for floats."""
+    q, r = P.polydiv(num, den)
     if exact:
-        if any(x != 0 for x in num):
+        if any(r != 0):
             raise ArithmeticError("inexact polynomial division in LP recursion")
-    else:
-        scale = max((abs(x) for x in q), default=1.0) + 1.0
-        if any(abs(float(x)) > 1e-9 * scale for x in num):
-            raise ArithmeticError("polynomial division remainder too large")
-    return _trim(q)
+    elif np.max(np.abs(r)) > 1e-9 * (np.max(np.abs(q)) + 1.0):
+        raise ArithmeticError("polynomial division remainder too large")
+    return q
 
 
 @dataclass
@@ -287,8 +238,8 @@ def _lp_recursion(order: int, gamma=None, exact: bool = True):
     one_m = [one, zero, -one]                       # 1 - zeta^2
     u0p = [zero, 12 * one]                          # u0' = 12 zeta
     lhs_fac = [12 * one, zero, -36 * one]           # ((1-z^2) u0')'
-    denom = _pmul(_pmul(one_m, u0p), _pmul(one_m, u0p))
-    p_int = _pinteg(_pmul(one_m, _pmul(u0p, u0p)))  # int (1-z^2) u0'^2
+    denom = P.polymul(P.polymul(one_m, u0p), P.polymul(one_m, u0p))
+    p_int = P.polyint(P.polymul(one_m, P.polymul(u0p, u0p)))  # int (1-z^2) u0'^2
 
     u = [[-4 * one, zero, 6 * one]]
     up = [u0p]
@@ -301,26 +252,26 @@ def _lp_recursion(order: int, gamma=None, exact: bool = True):
         # z_i per the quadratic normal-form recursion
         acc = [zero]
         for k in range(1, i):
-            acc = _padd(acc, _pmul(u[k], u[i - k]))
+            acc = P.polyadd(acc, P.polymul(u[k], u[i - k]))
         inner = [zero]
         for l in range(1, i):
-            inner = _padd(inner, _pscale(up[l], tau[i - 1 - l]))
+            inner = P.polyadd(inner, tau[i - 1 - l] * up[l])
         for k in range(1, i):
             for l in range(0, i - k):
-                inner = _padd(inner, _pscale(_pmul(om[k], up[l]), tau[i - 1 - l - k]))
+                inner = P.polyadd(inner, tau[i - 1 - l - k] * P.polymul(om[k], up[l]))
         for k in range(0, i):
             for l in range(0, i - k):
-                inner = _padd(inner, _pmul(_pmul(om[k], up[l]), u[i - 1 - l - k]))
+                inner = P.polyadd(inner, P.polymul(P.polymul(om[k], up[l]), u[i - 1 - l - k]))
         for l in range(1, i):
-            inner = _padd(inner, _pscale(_pmul(om[l], _pderiv(_pmul(one_m, up[i - l]))), -1))
+            inner = P.polysub(inner, P.polymul(om[l], P.polyder(P.polymul(one_m, up[i - l]))))
         for k in range(1, i):
             for l in range(0, i - k + 1):
-                inner = _padd(inner, _pscale(
-                    _pmul(om[l], _pderiv(_pmul(one_m, _pmul(om[k], up[i - l - k])))), -1))
-        z = _padd(acc, _pmul(one_m, inner))
+                inner = P.polysub(inner, P.polymul(
+                    om[l], P.polyder(P.polymul(one_m, P.polymul(om[k], up[i - l - k])))))
+        z = P.polyadd(acc, P.polymul(one_m, inner))
 
-        gtilde = _pinteg(_pmul(u0p, z))
-        g1, gm1 = _peval(gtilde, one), _peval(gtilde, -one)
+        gtilde = P.polyint(P.polymul(u0p, z))
+        g1, gm1 = P.polyval(one, gtilde), P.polyval(-one, gtilde)
         tau_i = -(5 * one / 192) * (g1 - gm1)
         tau.append(tau_i)
         if exact and i % 2 == 0 and tau_i != 0:
@@ -328,10 +279,10 @@ def _lp_recursion(order: int, gamma=None, exact: bool = True):
         if i == order:
             break
 
-        g = _padd(_pscale(p_int, tau_i), gtilde)
-        g_at_1 = _peval(g, one)
+        g = P.polyadd(tau_i * p_int, gtilde)
+        g_at_1 = P.polyval(one, g)
         delta_i = g_at_1 / 12
-        sigma_i = -delta_i - _peval(z, one) / 4
+        sigma_i = -delta_i - P.polyval(one, z) / 4
         if exact:
             if i % 2 == 1 and (sigma_i != 0 or delta_i != 0):
                 raise ArithmeticError(f"sigma_{i}/delta_{i} expected to vanish by symmetry")
@@ -341,12 +292,12 @@ def _lp_recursion(order: int, gamma=None, exact: bool = True):
         delt.append(delta_i)
 
         gi = gamma[i]
-        ui = _padd([delta_i, 12 * gi, sigma_i], [zero, zero, zero, -12 * gi])
-        upi = _pderiv(ui)
-        numer = _padd(
-            _padd(_pmul(_pmul(one_m, lhs_fac), ui),
-                  _pscale(_pmul(_pmul(one_m, one_m), _pmul(u0p, upi)), -1)),
-            _padd(g, [-g_at_1]))
+        ui = P.polyadd([delta_i, 12 * gi, sigma_i], [zero, zero, zero, -12 * gi])
+        upi = P.polyder(ui)
+        numer = P.polyadd(
+            P.polysub(P.polymul(P.polymul(one_m, lhs_fac), ui),
+                      P.polymul(P.polymul(one_m, one_m), P.polymul(u0p, upi))),
+            P.polysub(g, [g_at_1]))
         om_i = _pdivexact(numer, denom, exact)
         if len(om_i) > 2 * i + 2:
             raise ArithmeticError(f"deg omega_{i} = {len(om_i)-1} above the 2i+1 bound")
@@ -362,7 +313,8 @@ def lp_solve_quadratic(order: int) -> LpSeries:
     """Exact-rational LP series of the quadratic BT normal form up to eps^order."""
     tau, sig, delt, om, _ = _lp_recursion(order, exact=True)
     return LpSeries(order=order, tau=tau, sigma=sig[:order - 1] if order > 1 else sig[:1],
-                    delta=delt[:order - 1] if order > 1 else delt[:1], omega=om)
+                    delta=delt[:order - 1] if order > 1 else delt[:1],
+                    omega=[list(p) for p in om])
 
 
 @lru_cache(maxsize=None)
@@ -374,24 +326,35 @@ def _lp_float_series(phase: PhaseChoice, order: int = 4):
         tuple(tuple(map(float, p)) for p in om)
 
 
-def _lp_parts(phase: PhaseChoice, coeffs=UNIT):
-    """The u_i(zeta) and omega_i(zeta) polynomials and the xi_i(s) terms of an
-    LP series, i = 0..3 for the polynomials and 1..3 for xi."""
+def _frozen(polys):
+    """Read-only float coefficient arrays of polys."""
+    arrays = tuple(np.array(p, float) for p in polys)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _lp_parts(phase: PhaseChoice, coeffs: tuple = UNIT):
+    """The u_i(zeta), omega_i(zeta) and u_i'(zeta) coefficient arrays (i = 0..3,
+    read-only) and the xi_i(s) terms (i = 1..3) of an LP series."""
     _check_family(phase, coeffs)
     if phase is PhaseChoice.VZERO:
-        return (_smooth_u_polys(coeffs), _smooth_omega_polys(coeffs),
-                partial(_smooth_xi_terms, coeffs=coeffs))
-    if phase is PhaseChoice.ALTGAMMA:
-        return _lp_float_series(phase)[1:] + (_xi_terms_altgamma,)
-    raise ValueError("LP supports the VZERO and ALTGAMMA phases only; L2 is an RP phase")
+        u, om = _smooth_u_polys(coeffs), _smooth_omega_polys(coeffs)
+        xi = partial(_smooth_xi_terms, coeffs=coeffs)
+    elif phase is PhaseChoice.ALTGAMMA:
+        (_, u, om), xi = _lp_float_series(phase), _xi_terms_altgamma
+    else:
+        raise ValueError("LP supports the VZERO and ALTGAMMA phases only; L2 is an RP phase")
+    return _frozen(u), _frozen(om), _frozen(map(P.polyder, u)), xi
 
 
 def _lp_jets(zeta, phase: PhaseChoice, order: int, coeffs):
     """The LP orbit (u, v) at zeta as jets in eps at 0, truncated at eps^order;
     zeta may itself be an eps-jet."""
-    u, om, _ = _lp_parts(phase, coeffs)
+    u, om, up, _ = _lp_parts(phase, tuple(coeffs))
     series = partial(_peval_eps_jet, x=zeta, order=min(order, 3))
-    return series(u), (1.0 - zeta * zeta) * series(om) * series([_pderiv(p) for p in u])
+    return series(u), (1.0 - zeta * zeta) * series(om) * series(up)
 
 
 def lp_orbit_third(zeta, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
@@ -427,7 +390,7 @@ def _xi_terms_altgamma(s):
 def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
             order: int = 3, coeffs=UNIT):
     """xi(s) = s + sum_i xi_i(s) eps^i with the phase-appropriate constants."""
-    return _series((s,) + _lp_parts(phase, coeffs)[2](s), eps, order)
+    return _series((s,) + _lp_parts(phase, tuple(coeffs))[3](s), eps, order)
 
 
 def lp_orbit_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
@@ -504,16 +467,16 @@ def _smooth_xi_terms(s, coeffs):
 def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
     """(int_0 q, c0, c1) per eps^k, where the eps^k term of u / omega (of u when
     xi = s) is q(zeta) (1 - zeta^2) + c1 zeta + c0."""
-    u, om, _ = _lp_parts(phase)
+    u, om = _lp_parts(phase)[:2]
     om = [[1.0]] + [[0.0]] * 3 if xi_identity else om
     y, parts = [], []                       # y: u / omega as a series in eps
     for k in range(order + 1):              # y_k = u_k - sum_m omega_m y_(k-m)
-        y.append(reduce(_padd, [_pscale(_pmul(om[m], y[k - m]), -1.0)
-                                for m in range(1, k + 1)], list(u[k])))
-        at1, at_m1 = _peval(y[k], 1.0), _peval(y[k], -1.0)
+        y.append(reduce(P.polysub, [P.polymul(om[m], y[k - m]) for m in range(1, k + 1)],
+                        u[k]))
+        at1, at_m1 = P.polyval(1.0, y[k]), P.polyval(-1.0, y[k])
         c0, c1 = (at1 + at_m1) / 2.0, (at1 - at_m1) / 2.0
-        q = _pdivexact(_padd(y[k], [-c0, -c1]), [1.0, 0.0, -1.0], exact=False)
-        parts.append((_pinteg(q), c0, c1))
+        q = _pdivexact(P.polysub(y[k], [c0, c1]), [1.0, 0.0, -1.0], exact=False)
+        parts.append((P.polyint(q), c0, c1))
     return tuple(parts)
 
 
@@ -553,7 +516,7 @@ def _rp_xi(s, phase: PhaseChoice, order: int, coeffs=UNIT) -> Jet:
     s = Jet(s)
     if phase is PhaseChoice.L2:
         s = s + _eps_jet((0.0, GAMMA1_L2, 0.0, SIGMA3_L2), order)
-    return _eps_jet((s,) + _lp_parts(PhaseChoice.VZERO, coeffs)[2](s), order)
+    return _eps_jet((s,) + _lp_parts(PhaseChoice.VZERO, tuple(coeffs))[3](s), order)
 
 
 def _rp_jets(s, phase: PhaseChoice, order: int, coeffs=UNIT):

@@ -5,7 +5,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -30,8 +32,8 @@ _METHODS = {_method_label(m): m for m in (
     Method("lp", PhaseChoice.ALTGAMMA), Method("lp", lp_xi_identity=True))}
 
 
-class UsageError(Exception):
-    """Bad command-line input that argument parsing alone does not catch."""
+class UsageError(argparse.ArgumentTypeError):
+    """Bad command-line input; raised by an argument's type, argparse reports it."""
 
 
 def _fmt(x: float) -> str:
@@ -39,10 +41,14 @@ def _fmt(x: float) -> str:
 
 
 def _number(option: str, text: str, kind=float):
+    """kind(text), which must be finite: anything else is a usage error naming option."""
     try:
-        return kind(text)
+        value = kind(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise UsageError(f"bad {option} value {text!r}") from None
+        pass
+    raise UsageError(f"bad {option} value {text!r}")
 
 
 def _emit(path, text: str, note: str | None = None) -> None:
@@ -257,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="lp", choices=["rp", "lp"])
     p.add_argument("--phase", default="vzero", choices=["vzero", "l2", "altgamma"])
     p.add_argument("--order", type=int, default=3)
-    p.add_argument("--eps", type=float, default=0.1)
-    p.add_argument("--k", type=float, help="end distance (default eps*1e-4)")
+    p.add_argument("--eps", type=partial(_number, "--eps"), default=0.1)
+    p.add_argument("--k", type=partial(_number, "--k"), help="end distance (default eps*1e-4)")
     p.add_argument("--ntst", type=int, default=40)
     p.add_argument("--ncol", type=int, default=4)
     p.add_argument("--out", help="predictor JSON path")
@@ -279,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="lo:hi:count (log-spaced) or comma list")
     p.add_argument("--ntst", type=int, default=40)
     p.add_argument("--ncol", type=int, default=4)
-    p.add_argument("--k-factor", type=float, default=1e-4)
+    p.add_argument("--k-factor", type=partial(_number, "--k-factor"), default=1e-4)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_converge)
 

@@ -20,6 +20,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .asymptotics import PhaseChoice
+from .errors import BthomError
 from .model import ModelError, OdeModel, derivatives, eval_rhs
 from .nfcoeffs import CmExpansion
 from .predictor import (HomPredictor, Mesh, NoConvergenceError, amplitude_to_eps,
@@ -612,21 +613,25 @@ def correct_with_retries(model: OdeModel, expansion: CmExpansion, method,
     """Automatic perturbation-parameter policy: halve eps until Newton converges.
 
     Starts at eps = 0.1 with end distance k = eps * 1e-4 and retries up to
-    ``max_tries`` times.  Returns (predictor, bvp, corrected z, iterations).
+    ``max_tries`` times, halving eps also when the predictor at eps is unusable.
+    A k outside (0, A0) is a ValueError.  Returns (predictor, bvp, corrected z,
+    iterations); the NoConvergenceError after the last try has the stage of the
+    last failure.
     """
     if mesh is None:
         mesh = make_mesh()
     last_exc = None
     for _ in range(max_tries):
-        pred = sample_predictor(expansion, method, eps, mesh, k=eps * k_factor)
         try:
+            pred = sample_predictor(expansion, method, eps, mesh, k=eps * k_factor)
             bvp, z, iters = correct_predictor(model, pred, tol=tol)
             return pred, bvp, z, iters
-        except NoConvergenceError as exc:
+        except BthomError as exc:     # predictor, bvp or newton
             last_exc = exc
             eps *= 0.5
     raise NoConvergenceError(
-        f"no convergence after {max_tries} eps-halvings: {last_exc}")
+        f"no convergence after {max_tries} eps-halvings: {last_exc}",
+        stage=getattr(last_exc, "stage", ""))
 
 
 @dataclass

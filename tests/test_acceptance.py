@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 import scipy.optimize as so
+from numpy.polynomial.polynomial import polyval
 
 import bthom.asymptotics as asy
 from bthom.asymptotics import (GAMMA1_L2, GAMMA3_L2, In_closed,
@@ -116,7 +117,7 @@ def test_criterion_05_planar_residual_order():
         _, u_polys, _ = asy._lp_float_series(PhaseChoice.VZERO)
         u = Jet(np.zeros(161))
         for i in range(4):
-            u = u + asy._peval(list(u_polys[i]), zeta) * eps ** i
+            u = u + polyval(zeta, u_polys[i]) * eps ** i
         tau = smooth_tau(eps, asy.UNIT)
         return np.max(np.abs(u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + tau))))
 

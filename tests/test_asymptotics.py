@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 import scipy.integrate as si
+from numpy.polynomial.polynomial import polyder, polyval
 
 import bthom.asymptotics as asy
 from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, SIGMA3_L2, UNIT, In_closed,
@@ -223,6 +224,20 @@ class TestLpEngine:
             exact += [0.0] * (len(om[i]) - len(exact))
             assert np.allclose(om[i], exact[:len(om[i])], atol=1e-14)
 
+    @pytest.mark.parametrize("num, den, exact", [
+        ([F(1), F(0), F(1)], [F(-1), F(1)], True),          # z^2 + 1 = 2 at z = 1
+        ([1.0, 0.0, -1.0 + 1e-6], [1.0, 1.0], False),       # 1e-6 at z = -1
+    ], ids=["fraction", "float"])
+    def test_division_with_a_remainder_raises(self, num, den, exact):
+        with pytest.raises(ArithmeticError):
+            asy._pdivexact(num, den, exact)
+
+    def test_exact_division_returns_fraction_quotient(self):
+        q = asy._pdivexact([F(-1), F(0), F(1)], [F(1), F(1)], exact=True)
+        assert list(q) == [-1, 1] and all(type(c) is F for c in q)
+        q = asy._pdivexact([1.0, 0.0, -1.0 + 1e-12], [1.0, 1.0], exact=False)
+        assert np.allclose(q, [1.0, -1.0], atol=1e-11)
+
     def test_rejects_bad_order(self):
         with pytest.raises(ValueError):
             lp_solve_quadratic(0)
@@ -268,8 +283,8 @@ class TestLpOrbit:
         def v_coeff(k):
             acc = np.zeros_like(z)
             for i in range(k + 1):
-                up = asy._pderiv(list(u_a[k - i]))
-                acc += asy._peval(list(om_a[i]), z) * asy._peval(list(up), z)
+                up = polyder(u_a[k - i])
+                acc += polyval(z, om_a[i]) * polyval(z, up)
             return (1 - z * z) * acc
 
         assert np.allclose(v_coeff(2), v2, atol=1e-13)
@@ -304,7 +319,7 @@ class TestLpOrbit:
             _, u_polys, _ = asy._lp_float_series(phase)
             u = Jet(np.zeros(161))
             for i in range(4):
-                u = u + asy._peval(list(u_polys[i]), zeta) * eps ** i
+                u = u + polyval(zeta, u_polys[i]) * eps ** i
             r = u.dd - (-4 + u.f ** 2 + eps * u.d * (u.f + smooth_tau(eps, UNIT)))
             res.append(np.max(np.abs(r)))
         assert fit_slope(EPS_GRID, res) >= 3.7
@@ -330,7 +345,7 @@ class TestXi:
             _, _, om = asy._lp_float_series(phase)
             omega = Jet(np.zeros(161))
             for i in range(4):
-                omega = omega + asy._peval(list(om[i]), tanh(xi)) * eps ** i
+                omega = omega + polyval(tanh(xi), om[i]) * eps ** i
             res.append(np.max(np.abs(xi.d - omega.f)))
         assert fit_slope(eps_grid, res) >= 3.7
 
@@ -346,12 +361,13 @@ class TestSmoothNormalForm:
         # the floating LP recursion, v = (1 - z^2) omega(z) u'(z)
         _, u_p, om = asy._lp_float_series(PhaseChoice.VZERO)
         z, e = 0.4, 0.1
-        u2 = sum(asy._peval(list(u_p[i]), z) * e ** i for i in range(4))
-        v2 = (1 - z * z) * sum(asy._peval(list(om[i]), z)
-                               * asy._peval(asy._pderiv(list(u_p[j])), z) * e ** (i + j)
+        u2 = sum(polyval(z, u_p[i]) * e ** i for i in range(4))
+        v2 = (1 - z * z) * sum(polyval(z, om[i])
+                               * polyval(z, polyder(u_p[j])) * e ** (i + j)
                                for i in range(4) for j in range(4 - i))
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
+        assert lp_orbit_third(0.4, 0.1, coeffs=list(quad)) == (u1, v1)
         u1, v1 = rp_orbit(1.3, 0.1, coeffs=quad)
         u2, v2 = rp_orbit(1.3, 0.1)
         assert u1 == pytest.approx(u2, abs=1e-14)
@@ -404,7 +420,7 @@ class TestSmoothNormalForm:
             u_polys = asy._smooth_u_polys(NF_COEFFS)
             u = Jet(np.zeros(141))
             for i in range(4):
-                u = u + asy._peval(list(u_polys[i]), zeta) * eps ** i
+                u = u + polyval(zeta, u_polys[i]) * eps ** i
             tau = smooth_tau(eps, NF_COEFFS)
             r = u.dd - (-4 + u.f ** 2 + (b / a) * u.d * (u.f + tau) * eps
                         + (1 / a ** 2) * u.f ** 2 * (tau * b * a1 + d * u.f) * eps ** 2

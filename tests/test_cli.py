@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,18 @@ class TestAnalyze:
         ["compare", "--model", "bt_nf", "--eps-range", "0.1", "--out", "{tmp}/missing/k.csv"],
         ["converge", "--model", "bt_nf", "--amplitudes", "1e-3:1e-1:x"],
         ["converge", "--model", "bt_nf", "--amplitudes", "0:1e-1:3"],
+        ["predict", "--model", "bt_nf", "--eps", "nan", "--ntst", "10"],
+        ["predict", "--model", "bt_nf", "--eps", "inf", "--ntst", "10"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "nan", "--orders", "3",
+         "--methods", "lp", "--ntst", "10"],
+        ["converge", "--model", "bt_nf", "--amplitudes", "inf", "--orders", "3",
+         "--methods", "lp", "--ntst", "10"],
+        ["compare", "--model", "bt_nf", "--eps-range", "nan,0.1"],
+        ["analyze", "--model", "bt_nf", "--x0", "nan,0", "--alpha0", "0,0"],
+        ["analyze", "--model", "bt_nf", "--coeff", "a=nan"],
+        ["predict", "--model", "bt_nf", "--k", "nan", "--ntst", "10"],
+        ["converge", "--model", "bt_nf", "--orders", "3", "--amplitudes", "1e-2",
+         "--methods", "lp", "--ntst", "10", "--k-factor", "nan"],
     ], ids=["unknown-option", "order-5", "negative-eps", "k-above-amplitude",
             "x0-without-alpha0", "unknown-method", "coeff-without-value",
             "user-model-without-point", "missing-model-file", "non-numeric-x0",
@@ -158,14 +171,19 @@ class TestAnalyze:
             "analyze-out-in-missing-dir", "predict-out-in-missing-dir",
             "lpseries-out-in-missing-dir", "converge-out-in-missing-dir",
             "compare-out-in-missing-dir", "non-numeric-amplitude-count",
-            "amplitude-range-from-zero"])
+            "amplitude-range-from-zero", "eps-nan", "eps-inf", "amplitude-nan",
+            "amplitude-inf", "eps-range-nan", "x0-nan", "coeff-nan", "k-nan",
+            "k-factor-nan"])
     def test_usage_error_exits_2(self, argv, capsys, tmp_path):
         model = tmp_path / "m.txt"
         model.write_text("dim 2\npar p1 p2\nx1' = x2\nx2' = p1 + p2*x2 + x1^2 + x1*x2\n")
         with pytest.raises(SystemExit) as exc:
             main([arg.format(user_model=model, tmp=tmp_path) for arg in argv])
         assert exc.value.code == 2
-        assert ": error: " in capsys.readouterr().err.splitlines()[-1]
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert ": error: " in last
+        if {"nan", "inf"} & {v for arg in argv for v in re.split("[=,]", arg)}:
+            assert re.search(r"bad --[a-z0-9-]+ value '(nan|inf)'$", last)
 
 
 class TestPredict:

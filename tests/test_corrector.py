@@ -16,6 +16,7 @@ from bthom.corrector import (ConvergenceRecord, NoConvergenceError, build_bvp,
                              newton_correct, pack_unknowns, unpack_orbit,
                              _at_gauss, _mesh_pattern, _min_norm_step, _unpack,
                              _ricatti)
+from bthom.errors import BthomError
 from bthom.model import HH_BT_ALPHA, HH_BT_STATE, ModelError, derivatives, eval_rhs
 from bthom.nfcoeffs import analyze_bt
 from bthom.predictor import Method, amplitude_to_eps, make_mesh, sample_predictor
@@ -643,6 +644,36 @@ class TestAutoEps:
         with pytest.raises(NoConvergenceError, match="8 eps-halvings"):
             correct_with_retries(bt_nf_model, ex, LP, make_mesh(20, 4))
 
+    @pytest.mark.parametrize("variant, iters", [("smooth", 6), ("hyper", 10)])
+    def test_unusable_predictor_halves_eps(self, hh_model, variant, iters):
+        # at eps = 0.1 the order-1 end distances are 0: the predictor stage fails
+        ex = analyze_bt(hh_model, HH_BT_STATE, HH_BT_ALPHA, variant)[1]
+        pred, bvp, z, steps = correct_with_retries(hh_model, ex, Method("lp", order=1),
+                                                   make_mesh(40, 4))
+        assert (pred.eps, steps) == (0.003125, iters)
+        assert np.linalg.norm(bvp_residual(bvp, z)) <= 1e-10 * (1 + np.max(np.abs(z)))
+
+    def test_gives_up_with_the_stage_of_the_last_failure(self, bt_nf_model, bt_nf_orbital,
+                                                         monkeypatch):
+        _, ex = bt_nf_orbital
+        with pytest.raises(ValueError):     # k = 0.5 above A0 = 0.06 is not retried
+            correct_with_retries(bt_nf_model, ex, LP, make_mesh(20, 4), k_factor=5.0)
+        real, calls = sample_predictor, []
+
+        def last_fails(expansion, method, eps, mesh, k):
+            calls.append(eps)
+            if len(calls) == 8:
+                raise BthomError("forced", stage="predictor")
+            return real(expansion, method, eps, mesh, k=k)
+
+        def always_fail(model, pred, tol=1e-10):
+            raise NoConvergenceError("forced")
+
+        monkeypatch.setattr("bthom.corrector.sample_predictor", last_fails)
+        monkeypatch.setattr("bthom.corrector.correct_predictor", always_fail)
+        with pytest.raises(NoConvergenceError) as exc:
+            correct_with_retries(bt_nf_model, ex, LP, make_mesh(20, 4))
+        assert exc.value.stage == "predictor" and len(calls) == 8
 
 class TestStudy:
     def test_records_and_csv(self, bt_nf_model, bt_nf_orbital):
