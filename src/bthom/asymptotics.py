@@ -55,6 +55,7 @@ __all__ = [
     "smooth_tau",
     "rp_int_u",
     "lp_int_u",
+    "planar_pass",
 ]
 
 LN2 = 0.6931471805599453094172321214581765680755
@@ -400,8 +401,7 @@ def lp_orbit_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
     With ``xi_identity`` the higher-order time transform is dropped (xi = s),
     which reproduces the historical predictor that loses the uniform accuracy.
     """
-    xi = np.asarray(s, float) if xi_identity else xi_of_s(s, eps, phase, order, coeffs)
-    return lp_orbit_third(np.tanh(xi), eps, phase, order, coeffs)
+    return planar_pass(s, eps, "lp", phase, order, xi_identity, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -480,12 +480,12 @@ def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
     return tuple(parts)
 
 
-def _lp_int_jet(xi: Jet, phase: PhaseChoice, order: int, xi_identity: bool) -> Jet:
-    """`lp_int_u` as a jet in eps at eps = 0, truncated at eps^min(order, 3);
-    xi is an eps-jet (a constant one, ``Jet(xi)``, for xi free of eps)."""
+def _lp_int_jet(xi, zeta, phase: PhaseChoice, order: int, xi_identity: bool) -> Jet:
+    """`lp_int_u` as a jet in eps at eps = 0, truncated at eps^min(order, 3), at
+    xi and zeta = tanh(xi); xi is an eps-jet or a value free of eps."""
     order = min(order, 3)
     Q, c0, c1 = zip(*_lp_int_parts(phase, order, xi_identity))
-    return (_peval_eps_jet(Q, tanh(xi), order) + logcosh(xi) * _eps_jet(c1, order)
+    return (_peval_eps_jet(Q, zeta, order) + logcosh(xi) * _eps_jet(c1, order)
             + xi * _eps_jet(c0, order))
 
 
@@ -497,7 +497,8 @@ def lp_int_u(xi, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int 
     dzeta = (1 - zeta^2) dxi, so the eps^k term q(zeta) (1 - zeta^2) + c1 zeta + c0
     of the integrand integrates to int_0^zeta q + c0 xi + c1 log cosh xi.
     """
-    return _series(_lp_int_jet(Jet(xi), phase, order, xi_identity).c, eps, order)
+    xi = Jet(xi)
+    return _series(_lp_int_jet(xi, tanh(xi), phase, order, xi_identity).c, eps, order)
 
 
 # ---------------------------------------------------------------------------
@@ -508,50 +509,78 @@ def lp_int_u(xi, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int 
 
 def _rp_xi(s, phase: PhaseChoice, order: int, coeffs=UNIT) -> Jet:
     """xi(s, eps) of the v(0) = 0 series as an eps-jet, order <= 3; s may be a
-    jet.  L2 is that series at the time s + sigma, sigma = GAMMA1_L2 eps +
-    SIGMA3_L2 eps^3."""
+    jet (in another variable, so a constant in eps).  L2 is that series at the
+    time s + sigma, sigma = GAMMA1_L2 eps + SIGMA3_L2 eps^3."""
     if phase not in (PhaseChoice.VZERO, PhaseChoice.L2):
         raise ValueError("regular perturbation supports the VZERO and L2 phases only")
     _check_family(phase, coeffs)
-    s = Jet(s)
+    if isinstance(s, Jet):
+        s = Jet(s)
     if phase is PhaseChoice.L2:
         s = s + _eps_jet((0.0, GAMMA1_L2, 0.0, SIGMA3_L2), order)
     return _eps_jet((s,) + _lp_parts(PhaseChoice.VZERO, tuple(coeffs))[3](s), order)
 
 
-def _rp_jets(s, phase: PhaseChoice, order: int, coeffs=UNIT):
-    """The LP orbit (u, v) at xi(s, eps) as eps-jets at eps = 0, truncated at
-    eps^order: their coefficients are the RP terms (u_i, u_i'), i <= 3."""
+def _pass_jets(s, eps: float, kind: str, phase: PhaseChoice, order: int,
+               xi_identity: bool, coeffs, integral: bool):
+    """`planar_pass` before its sum at eps: the eps-jets at eps = 0 of u, v and,
+    with ``integral``, of int_0^s u ds.  For rp their coefficients are the RP
+    terms, read from the LP series at the eps-jet xi(s, eps)."""
     order = min(order, 3)
-    return _lp_jets(tanh(_rp_xi(s, phase, order, coeffs)), PhaseChoice.VZERO, order, coeffs)
+    if kind == "rp":
+        xi = _rp_xi(s, phase, order, coeffs)
+        lp_phase = PhaseChoice.VZERO
+    else:
+        xi = s if xi_identity else xi_of_s(s, eps, phase, order, coeffs)
+        if isinstance(xi, Jet):     # a jet in another variable: a constant in eps
+            xi = Jet(xi)
+        lp_phase = phase
+    zeta = tanh(xi)
+    jets = _lp_jets(zeta, lp_phase, order, coeffs)
+    if not integral:
+        return jets
+    if tuple(coeffs) != UNIT:
+        raise ValueError("int u ds is implemented at the coefficients UNIT only")
+    U = _lp_int_jet(xi, zeta, lp_phase, order, xi_identity)
+    return jets + ((U - _rp_int_at0(phase, order)) if kind == "rp" else U,)
+
+
+@lru_cache(maxsize=None)
+def _rp_int_at0(phase: PhaseChoice, order: int) -> Jet:
+    """The LP integral of u at xi(0, eps) as an eps-jet at eps = 0, at UNIT."""
+    xi = _rp_xi(0.0, phase, order)
+    return _lp_int_jet(xi, tanh(xi), PhaseChoice.VZERO, order, False)
+
+
+def planar_pass(s, eps: float, kind: str, phase: PhaseChoice = PhaseChoice.VZERO,
+                order: int = 3, xi_identity: bool = False, coeffs=UNIT,
+                integral: bool = False):
+    """The rp or lp orbit (u, v) at time s and, with ``integral``, int_0^s u ds
+    (at UNIT), truncated at eps^order, all from one time transform xi(s) and
+    one zeta = tanh(xi).  xi is the eps-jet of xi(s, eps) at eps = 0 for rp,
+    xi(s) summed at eps for lp, and s itself with ``xi_identity`` (lp only).
+    s may be a jet in another variable.
+
+    The rp orbit at s is the v(0) = 0 one at s + sigma (sigma = 0 at v(0) = 0),
+    so its integral is U(s + sigma) - U(sigma), U the LP integral at xi(s, eps);
+    the lp integral vanishes at xi = 0 by itself.
+    """
+    return tuple(_series(j.c, eps, order)
+                 for j in _pass_jets(s, eps, kind, phase, order, xi_identity, coeffs, integral))
 
 
 def _rp_terms(phase: PhaseChoice, coeffs=UNIT):
     """u_0..u_3 of the regular-perturbation series, each a function of s."""
-    return tuple(lambda s, i=i: _rp_jets(s, phase, 3, coeffs)[0].c[i] for i in range(4))
+    return tuple(lambda s, i=i: _pass_jets(s, 0.0, "rp", phase, 3, False, coeffs, False)[0].c[i]
+                 for i in range(4))
 
 
 def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
              order: int = 3, coeffs=UNIT):
     """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
-    u, v = _rp_jets(s, phase, order, coeffs)
-    return _series(u.c, eps, order), _series(v.c, eps, order)
-
-
-def _rp_int_jet(s, phase: PhaseChoice, order: int) -> Jet:
-    """The LP integral of u at xi(s, eps) as an eps-jet at eps = 0, at UNIT."""
-    return _lp_int_jet(_rp_xi(s, phase, min(order, 3)), PhaseChoice.VZERO, order, False)
-
-
-@lru_cache(maxsize=None)
-def _rp_int_at0(phase: PhaseChoice, order: int) -> Jet:
-    return _rp_int_jet(0.0, phase, order)
+    return planar_pass(s, eps, "rp", phase, order, coeffs=coeffs)
 
 
 def rp_int_u(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3):
-    """int_0^s u ds of the regular-perturbation orbit at UNIT, truncated at eps^order.
-
-    The orbit at s is the v(0) = 0 one at s + sigma (sigma = 0 at v(0) = 0), so
-    this is U(s + sigma) - U(sigma), U the LP integral at xi(s, eps).
-    """
-    return _series((_rp_int_jet(s, phase, order) - _rp_int_at0(phase, order)).c, eps, order)
+    """int_0^s u ds of the regular-perturbation orbit at UNIT, truncated at eps^order."""
+    return planar_pass(s, eps, "rp", phase, order, integral=True)[2]

@@ -670,11 +670,14 @@ def convergence_study(model: OdeModel, expansion: CmExpansion, methods,
                       k_factor: float = 1e-4, tol: float = 1e-12) -> list[ConvergenceRecord]:
     """delta(X) between predicted and corrected orbits over a method/order/A0 grid.
 
-    A failed correction is recorded with delta = nan rather than raised.
+    A cell whose predictor or correction fails with a BthomError is recorded
+    with delta = nan and converged = False rather than raised.  A study none of
+    whose cells has a usable predictor measured nothing; it raises the first
+    cell's error.
     """
     if mesh is None:
         mesh = make_mesh()
-    records = []
+    records, unusable = [], []
     for spec in methods:
         base = spec if isinstance(spec, Method) else Method(kind=str(spec))
         for order in orders:
@@ -682,19 +685,22 @@ def convergence_study(model: OdeModel, expansion: CmExpansion, methods,
                        lp_xi_identity=base.lp_xi_identity)
             for A0 in amplitudes:
                 eps = amplitude_to_eps(A0, expansion.a, expansion.b, expansion.variant)
-                pred = sample_predictor(expansion, m, eps, mesh, k=eps * k_factor)
-                delta, iters, ok = float("nan"), 0, False
+                delta, iters, ok, pred = float("nan"), 0, False, None
                 try:
+                    pred = sample_predictor(expansion, m, eps, mesh, k=eps * k_factor)
                     bvp, z, iters = correct_predictor(model, pred, tol=tol)
                     corr = unpack_orbit(bvp, z)
                     delta = float(np.linalg.norm(pred.orbit - corr)
                                   / np.linalg.norm(corr))
                     ok = True
-                except NoConvergenceError:
-                    pass
+                except BthomError as exc:
+                    if pred is None:
+                        unusable.append(exc)
                 records.append(ConvergenceRecord(
                     model=model.name, method=_method_label(m),
                     variant=expansion.variant.value, order=order,
                     amplitude=float(A0), eps=float(eps), delta=delta,
                     iterations=iters, converged=ok))
+    if records and len(unusable) == len(records):
+        raise unusable[0]
     return records

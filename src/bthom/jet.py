@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,8 @@ class Jet:
         if not isinstance(o, Jet):
             return Jet(self.c[0] + o, *self.c[1:])
         a, b = (self.c, o.c) if len(self.c) >= len(o.c) else (o.c, self.c)
+        if len(a) == len(b):
+            return Jet(*map(operator.add, a, b))
         return Jet(*[x + y for x, y in zip(a, b)], *a[len(b):])
 
     __radd__ = __add__
@@ -74,6 +77,8 @@ class Jet:
         if not isinstance(o, Jet):
             return Jet(*[c * o for c in self.c])
         a, b = self.c, o.c
+        if len(a) == len(b) and len(a) in _CAUCHY:
+            return Jet(*_CAUCHY[len(a)](*a, *b))
         out = []
         for k in range(max(len(a), len(b))):
             hi, lo = min(k, len(a) - 1), max(k - len(b) + 1, 0)
@@ -105,6 +110,19 @@ class Jet:
         if k % 2 or k <= 4:
             return self ** (k - 1) * self
         return (self ** (k // 2)) ** 2
+
+
+# The Cauchy products of two jets of 1 to 4 coefficients, written out in the
+# summation order of the loop in Jet.__mul__, so that they round alike.
+_CAUCHY = {
+    1: lambda a0, b0: (a0 * b0,),
+    2: lambda a0, a1, b0, b1: (a0 * b0, a1 * b0 + a0 * b1),
+    3: lambda a0, a1, a2, b0, b1, b2: (a0 * b0, a1 * b0 + a0 * b1,
+                                       a2 * b0 + a1 * b1 + a0 * b2),
+    4: lambda a0, a1, a2, a3, b0, b1, b2, b3: (a0 * b0, a1 * b0 + a0 * b1,
+                                               a2 * b0 + a1 * b1 + a0 * b2,
+                                               a3 * b0 + a2 * b1 + a1 * b2 + a0 * b3),
+}
 
 
 def _compose(x: Jet, g) -> Jet:

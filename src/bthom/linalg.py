@@ -13,6 +13,7 @@ __all__ = [
     "BorderedSingularError",
     "BTData",
     "bt_eigenstructure",
+    "bordered_solver",
     "bordered_solve_full",
 ]
 
@@ -56,24 +57,34 @@ class BTData:
         }
 
 
-def bordered_solve_full(A, p1, q0, y):
-    """Solve the bordered system [[A, p1^T], [q0^T, 0]] (x, s) = (y, 0).
-
-    Returns (x, s).  For a consistent right-hand side s vanishes.
-    """
+def bordered_solver(A, p1, q0):
+    """The solve y -> (x, s) of the bordered system [[A, p1^T], [q0^T, 0]] (x, s)
+    = (y, 0), its matrix built once for every right-hand side.  For a
+    consistent right-hand side s vanishes."""
     A = np.asarray(A, float)
     n = A.shape[0]
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = A
     M[:n, n] = np.asarray(p1, float)
     M[n, :n] = np.asarray(q0, float)
-    rhs = np.zeros(n + 1)
-    rhs[:n] = np.asarray(y, float)
-    try:
-        sol = np.linalg.solve(M, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise BorderedSingularError(f"bordered matrix is singular: {exc}") from exc
-    return sol[:n], float(sol[n])
+
+    def solve(y):
+        rhs = np.zeros(n + 1)
+        rhs[:n] = np.asarray(y, float)
+        try:
+            sol = np.linalg.solve(M, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise BorderedSingularError(f"bordered matrix is singular: {exc}") from exc
+        return sol[:n], float(sol[n])
+    return solve
+
+
+def bordered_solve_full(A, p1, q0, y):
+    """Solve the bordered system [[A, p1^T], [q0^T, 0]] (x, s) = (y, 0) once.
+
+    Returns (x, s).  For a consistent right-hand side s vanishes.
+    """
+    return bordered_solver(A, p1, q0)(y)
 
 
 def _first_nonzero_sign(v: np.ndarray) -> float:

@@ -367,8 +367,9 @@ class MultilinearOracle:
     One batched order-3 jet call at construction gives the Jacobians A and
     J1 and the symmetric second and third derivative tensors T2, T3 over the
     joint (x, alpha) space; B, C, A1, J2, B1, A2 and J3 are contractions of
-    them.  T3 holds n (n + 2)^3 numbers, like MatCont's symbolic third
-    derivative tensor.
+    their (x, x), (x, alpha) and (alpha, alpha) blocks, sliced once with the
+    alpha slots last.  T3 holds n (n + 2)^3 numbers, like MatCont's symbolic
+    third derivative tensor.
     """
 
     model: OdeModel
@@ -385,45 +386,47 @@ class MultilinearOracle:
         n = self.model.dim
         J, self.T2, self.T3 = derivatives(self.model, self.x0, self.alpha0, 3)
         self.A, self.J1 = J[:, :n], J[:, n:]
+        # (degree, parameter slots) -> the block, its state slots first
+        self._blocks = {(k, na): np.ascontiguousarray(
+            T[(slice(None),) + (slice(None, n),) * (k - na) + (slice(n, None),) * na])
+            for k, T in ((2, self.T2), (3, self.T3)) for na in range(k + 1)}
 
-    def _form(self, *zs):
-        """Symmetric bi- or trilinear form of f on joint (x, alpha) vectors.
+    def _form(self, xs, ks):
+        """Symmetric bi- or trilinear form of f on state probes xs and parameter
+        probes ks.
 
-        The probes are contracted in a canonical order, so the returned values
-        are bitwise independent of the slot order.
+        The parameter probes are contracted first, then the state probes, each
+        kind in a canonical order, so the returned values are bitwise
+        independent of the slot order.
         """
-        t = self.T2 if len(zs) == 2 else self.T3
-        for z in sorted(zs, key=lambda z: z.tobytes()):
-            t = t @ z
+        t = self._blocks[len(xs) + len(ks), len(ks)]
+        for zs in (ks, xs):
+            for z in sorted((np.asarray(z, float) for z in zs), key=lambda z: z.tobytes()):
+                t = t @ z
         return t
-
-    def _z(self, u=None, k=None):
-        """The joint vector (u, k); a missing part is zero."""
-        return np.concatenate([np.zeros(self.model.dim) if u is None else np.asarray(u, float),
-                               np.zeros(2) if k is None else np.asarray(k, float)])
 
     # -- the standard forms --------------------------------------------------
 
     def B(self, u, v):
-        return self._form(self._z(u), self._z(v))
+        return self._form((u, v), ())
 
     def A1(self, u, k):
-        return self._form(self._z(u), self._z(k=k))
+        return self._form((u,), (k,))
 
     def J2(self, k, l):
-        return self._form(self._z(k=k), self._z(k=l))
+        return self._form((), (k, l))
 
     def C(self, u, v, w):
-        return self._form(self._z(u), self._z(v), self._z(w))
+        return self._form((u, v, w), ())
 
     def B1(self, u, v, k):
-        return self._form(self._z(u), self._z(v), self._z(k=k))
+        return self._form((u, v), (k,))
 
     def A2(self, u, k, l):
-        return self._form(self._z(u), self._z(k=k), self._z(k=l))
+        return self._form((u,), (k, l))
 
     def J3(self, k, l, m):
-        return self._form(self._z(k=k), self._z(k=l), self._z(k=m))
+        return self._form((), (k, l, m))
 
 
 def build_oracle(model: OdeModel, x0, alpha0) -> MultilinearOracle:

@@ -18,14 +18,16 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .errors import BthomError
 from .jet import Jet
-from .linalg import BTData, bordered_solve_full, bt_eigenstructure
+from .linalg import BTData, bordered_solver, bt_eigenstructure
 from .model import MultilinearOracle, OdeModel, build_oracle, derivatives, eval_rhs
 
 __all__ = [
@@ -50,20 +52,28 @@ class Variant(enum.Enum):
     HYPER = "hyper"
 
 
+@lru_cache(maxsize=None)
+def _exponents(names: tuple) -> tuple:
+    """The (variable, exponent) pairs of each name's nonzero exponents, the
+    digits after its letter (H2100 is w0^2 w1)."""
+    return tuple(tuple((k, int(ch)) for k, ch in enumerate(name[1:]) if ch != "0")
+                 for name in names)
+
+
 def _taylor(terms: dict, z):
     """Sum of c * prod_k z_k^m_k / m_k! over the (name, c) pairs of terms.
 
     The exponents m_k are the digits of the name after its letter (H2100 is
-    w0^2 w1 / 2!).  The z_k may be Jets.
+    w0^2 w1 / 2!).  Each z_k^m / m! is formed once per call.  The z_k may be
+    Jets.
     """
+    powers = {}
     out = 0.0
-    for name, c in terms.items():
-        m = [int(ch) for ch in name[1:]]
-        mono = 1.0
-        for zk, mk in zip(z, m):
-            if mk:
-                mono = mono * zk ** mk / math.factorial(mk)
-        out = out + c * mono
+    for factors, c in zip(_exponents(tuple(terms)), terms.values()):
+        for k, m in factors:
+            if (k, m) not in powers:
+                powers[k, m] = z[k] ** m / math.factorial(m)
+        out = out + c * reduce(operator.mul, [powers[f] for f in factors])
     return out
 
 
@@ -172,9 +182,10 @@ def _compute_cm(oracle: MultilinearOracle, eig: BTData, variant: Variant) -> CmE
     # certificate scale: 1 + ||A||_F + the largest right-hand side seen
     max_s = [0.0]
     max_y = [0.0]
+    bordered = bordered_solver(A, p1, q0)
 
     def ainv(y):
-        x, s = bordered_solve_full(A, p1, q0, y)
+        x, s = bordered(y)
         max_s[0] = max(max_s[0], abs(s))
         max_y[0] = max(max_y[0], float(np.linalg.norm(y)))
         return x

@@ -6,8 +6,11 @@ evaluates x = x0 + H(w(eta), beta) on a collocation mesh together with the
 parameter pair alpha = alpha0 + K(beta), the saddle, the half-return time and
 the orientation data needed to start continuation.
 
-All variants share the smooth blow-up (see _smooth_family); the L2 and
-alternative-gamma phases are orbital-only series, run at (UNIT, eps).
+All variants share the smooth blow-up (see _smooth_family).  The planar
+series run at eps itself: the orbital family (a, b, 0, 0, 0, 0) at (a/b) eps is
+the UNIT series at eps, where the orbital time map and the orbital-only L2 and
+alternative-gamma phases live too.  One series pass per time point gives the
+orbit and the time map together (_blow_up).
 """
 
 from __future__ import annotations
@@ -144,17 +147,23 @@ def _smooth_family(expansion: CmExpansion, eps):
     return (a, b, expansion.a1, expansion.b1, expansion.d, expansion.e), eps
 
 
+def _planar(expansion: CmExpansion, m: Method, eps, s, integral: bool):
+    """One pass of this variant's planar series at time s, summed at eps: (u, v)
+    and, with ``integral``, int_0^s u ds.  The orbital series is the UNIT one
+    (the family (a, b, 0, 0, 0, 0) at eps_s = (a/b) eps, seen at eps)."""
+    if expansion.variant is Variant.ORBITAL:
+        coeffs = asy.UNIT
+    elif m.phase is not PhaseChoice.VZERO:
+        raise ValueError(f"the {m.phase.value} phase exists for the orbital variant only")
+    else:
+        coeffs = _smooth_family(expansion, eps)[0]
+    return asy.planar_pass(s, eps, m.kind, m.phase, m.order, m.lp_xi_identity, coeffs,
+                           integral)
+
+
 def planar_series(expansion: CmExpansion, method, eps: float, s):
     """Planar (u, v) of the blown-up oscillator at time s for this variant."""
-    m = _as_method(method)
-    coeffs, es = _smooth_family(expansion, eps)
-    if m.phase is not PhaseChoice.VZERO:
-        if expansion.variant is not Variant.ORBITAL:
-            raise ValueError(f"the {m.phase.value} phase exists for the orbital variant only")
-        coeffs, es = asy.UNIT, eps
-    if m.kind == "rp":
-        return asy.rp_orbit(s, es, m.phase, m.order, coeffs)
-    return asy.lp_orbit_of_s(s, es, m.phase, m.order, m.lp_xi_identity, coeffs)
+    return _planar(expansion, _as_method(method), eps, s, integral=False)
 
 
 def _beta(expansion: CmExpansion, method, eps):
@@ -164,17 +173,46 @@ def _beta(expansion: CmExpansion, method, eps):
     return -4.0 / expansion.a * es ** 4, (expansion.b / expansion.a) * tau * es ** 2
 
 
+def _blow_up(expansion: CmExpansion, method, eps: float, eta, lifted: bool = True,
+             timed: bool = True):
+    """The predictor at normal-form time eta from at most one series pass:
+    (w0, w1, beta1, beta2, t), with w0 and w1 if ``lifted`` or if t needs the
+    pass, and the time map t(eta), t(0) = 0, if ``timed`` (None otherwise).
+    eta may be a Jet.
+
+    dt/deta = theta(w0, beta2) = 1 + theta1000 w0 + theta0001 beta2.  Only the
+    orbital normal form has theta1000 != 0; there t integrates the series it
+    lifts: t = eta (1 + theta0001 beta2) + theta1000 (eps_s / a) int_0^s u ds.
+    """
+    m = _as_method(method)
+    es, a = _smooth_family(expansion, eps)[1], expansion.a
+    if not isinstance(eta, Jet):
+        eta = np.asarray(eta, float)
+    integral = timed and expansion.theta1000 != 0.0
+    w0 = w1 = t = None
+    if lifted or integral:
+        u, v, *U = _planar(expansion, m, eps, es * eta, integral)
+        w0, w1 = u / a * es ** 2, v / a * es ** 3
+    b1, b2 = _beta(expansion, m, eps)
+    if timed:
+        t = eta * (1.0 + expansion.theta0001 * b2)
+        if integral:
+            t = t + expansion.theta1000 * (es / a) * U[0]
+    return w0, w1, b1, b2, t
+
+
 def _w_beta(expansion: CmExpansion, method, eps: float, eta):
     """Blow-up: (w0, w1, beta1, beta2) at normal-form time eta."""
-    es, a = _smooth_family(expansion, eps)[1], expansion.a
-    u, v = planar_series(expansion, method, eps, es * np.asarray(eta, float))
-    return (u / a * es ** 2, v / a * es ** 3) + _beta(expansion, method, eps)
+    return _blow_up(expansion, method, eps, eta, timed=False)[:4]
+
+
+def _lift(expansion: CmExpansion, w0, w1, b1, b2):
+    return expansion.x0 + expansion.H_eval(w0[..., None], w1[..., None], b1, b2)
 
 
 def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
     """Phase-space predictor x(eta) = x0 + H(w(eta), beta), one row per eta."""
-    w0, w1, b1, b2 = _w_beta(expansion, method, eps, eta)
-    return expansion.x0 + expansion.H_eval(w0[..., None], w1[..., None], b1, b2)
+    return _lift(expansion, *_w_beta(expansion, method, eps, eta))
 
 
 def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
@@ -186,6 +224,7 @@ def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
     except OverflowError:       # a float power of eps
         alpha = np.inf
     if not np.all(np.isfinite(alpha.f if isinstance(alpha, Jet) else alpha)):
+        eps = float(eps.f) if isinstance(eps, Jet) else eps
         raise BthomError(f"the blow-up at eps = {eps!r} is not finite", stage="predictor")
     return alpha
 
@@ -200,52 +239,52 @@ def time_reparam(expansion: CmExpansion, method, eps: float, eta):
     dt/deta = theta(w0, beta2).  Only the orbital normal form has theta1000 != 0,
     so int w0 deta integrates the series it lifts, at (UNIT, eps).
     """
-    m = _as_method(method)
-    if not isinstance(eta, Jet):
-        eta = np.asarray(eta, float)
-    lin = eta * (1.0 + expansion.theta0001 * _beta(expansion, m, eps)[1])
-    if expansion.theta1000 == 0.0:
-        return lin
-    es = _smooth_family(expansion, eps)[1]
-    s = es * eta
-    if m.kind == "rp":
-        integral = asy.rp_int_u(s, eps, m.phase, m.order)
-    else:   # xi(0) = 0, where the integral vanishes
-        xi = s if m.lp_xi_identity else asy.xi_of_s(s, eps, m.phase, m.order)
-        integral = asy.lp_int_u(xi, eps, m.phase, m.order, m.lp_xi_identity)
-    return lin + expansion.theta1000 * (es / expansion.a) * integral
+    return _blow_up(expansion, method, eps, eta, lifted=False)[4]
 
 
-def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 100):
-    """Solve time_reparam(eta) = t for every entry of t by safeguarded Newton.
-
-    Each entry keeps its own bisection bracket and tolerance and stops changing
-    once converged; the result has the shape of t.
-    """
+def _invert(expansion: CmExpansion, method, eps: float, t, max_iter: int):
+    """`invert_time`, and the blow-up (w0, w1, beta1, beta2) of its last
+    iterate: the series pass that finds every entry converged is the lift's."""
     t = np.asarray(t, float)
     target = t.ravel()
-    eta = target + 0.0
+    eta = target / (1.0 + expansion.theta0001 * _beta(expansion, method, eps)[1])
     tol = 1e-12 * (1.0 + np.abs(target))
     lo = np.full_like(eta, np.nan)     # NaN: no bracket end found yet
     hi = np.full_like(eta, np.nan)
     todo = np.ones(eta.shape, bool)
     for _ in range(max_iter):
-        tj = time_reparam(expansion, method, eps, Jet.variable(eta, 1))
-        r = tj.f - target
+        w0, w1, b1, b2, tj = _blow_up(expansion, method, eps, eta)
+        r = tj - target
         todo = ~(np.abs(r) <= tol)
         if not todo.any():
-            return eta.reshape(t.shape)[()]
+            return eta.reshape(t.shape)[()], (w0, w1, b1, b2)
         above = r > 0
         hi = np.where(todo & above, np.fmin(hi, eta), hi)
         lo = np.where(todo & ~above, np.fmax(lo, eta), lo)
-        deriv = tj.d
-        new = eta + np.divide(-r, deriv, out=-r, where=deriv > 1e-12)
+        slope = expansion.theta_eval(w0, b2)
+        new = eta + np.divide(-r, slope, out=-r, where=slope > 1e-12)
         mid = 0.5 * (lo + hi)
         new = np.where(np.isnan(mid) | ((lo < new) & (new < hi)), new, mid)
         eta = np.where(todo, new, eta)
     raise NoConvergenceError(
         f"time inversion did not converge for {np.count_nonzero(todo)} of "
         f"{todo.size} times (first t = {target[todo][0]!r})", stage="predictor")
+
+
+def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 100):
+    """Solve time_reparam(eta) = t for every entry of t by safeguarded Newton.
+
+    The slope is the one the time map is defined by, dt/deta = theta(w0, beta2)
+    = 1 + theta1000 w0 + theta0001 beta2, read from the same series pass as
+    t(eta), and the start is eta = t / (1 + theta0001 beta2).  For rp, rp-l2
+    and lp-xid theta is t' up to rounding.  For lp and lp-alt the time map
+    integrates u / omega through the truncated xi(s), so theta differs from t'
+    by O(eps^(order + 1)) relative, and the iteration converges linearly with
+    that ratio, far below the quadratic term at these eps.  Each entry keeps its
+    own bisection bracket and tolerance 1e-12 (1 + |t|) and stops changing once
+    converged; the result has the shape of t.
+    """
+    return _invert(expansion, method, eps, t, max_iter)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +344,7 @@ def sample_predictor(expansion: CmExpansion, method, eps: float,
     m = _as_method(method)
     if mesh is None:
         mesh = make_mesh()
-    alpha = lift_parameters(expansion, m, eps)
+    alpha = lift_parameters(expansion, m, Jet.variable(eps, 1))
     A0 = 6.0 * _smooth_family(expansion, eps)[1] ** 2 / abs(expansion.a)
     if k is None:
         k = eps * 1e-4
@@ -313,14 +352,13 @@ def sample_predictor(expansion: CmExpansion, method, eps: float,
     if not 0.0 < T < math.inf:
         raise BthomError(f"half-return time T = {T!r} at k = {k!r}", stage="predictor")
 
-    etas = invert_time(expansion, m, eps, -T + 2.0 * T * mesh.fine)
-    orbit = lift_orbit(expansion, m, eps, etas)
+    orbit = _lift(expansion, *_invert(expansion, m, eps, -T + 2.0 * T * mesh.fine, 100)[1])
     s0 = saddle_point(expansion, m, eps)
     eps0 = float(np.linalg.norm(orbit[0] - s0))
     eps1 = float(np.linalg.norm(orbit[-1] - s0))
     if not (0.0 < eps0 < math.inf and 0.0 < eps1 < math.inf):
         raise BthomError(f"end distances eps0 = {eps0!r}, eps1 = {eps1!r}", stage="predictor")
-    sign = float(np.sign(d_alpha_d_eps(expansion, m, eps)[0]))
+    sign = float(np.sign(alpha.d[0]))
     return HomPredictor(method=m, variant=expansion.variant, eps=eps,
-                        alpha=alpha, T=T, mesh=mesh, orbit=orbit, s0=s0,
+                        alpha=alpha.f, T=T, mesh=mesh, orbit=orbit, s0=s0,
                         eps0=eps0, eps1=eps1, tangent_sign=sign)

@@ -692,8 +692,12 @@ class TestStudy:
         assert len(row.split(",")) == len(ConvergenceRecord.CSV_HEADER.split(","))
 
     def test_model_error_is_recorded_as_nan(self, hh_model, hh_smooth):
+        # order 1's predictor is unusable (its end distances vanish) and order
+        # 3's correction meets a model error: both cells are recorded
         amplitude = 6 * 0.1 ** 2 / abs(hh_smooth.a)       # eps = 0.1
-        (rec,) = convergence_study(hh_model, hh_smooth, [LP], [3], [amplitude],
-                                   mesh=make_mesh(40, 4))
-        assert rec.eps == pytest.approx(0.1)
-        assert not rec.converged and np.isnan(rec.delta)
+        recs = convergence_study(hh_model, hh_smooth, [LP], [1, 3], [amplitude],
+                                 mesh=make_mesh(40, 4))
+        assert [rec.order for rec in recs] == [1, 3]
+        for rec in recs:
+            assert rec.eps == pytest.approx(0.1)
+            assert not rec.converged and np.isnan(rec.delta)

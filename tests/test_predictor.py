@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.optimize as so
@@ -99,9 +101,10 @@ class TestParameters:
     @pytest.mark.parametrize("eps", [1e60, 1e300])
     def test_blow_up_beyond_floating_point_is_a_predictor_error(self, eps, bt_nf_orbital):
         _, ex = bt_nf_orbital
-        with pytest.raises(BthomError, match="blow-up .* not finite") as err:
-            lift_parameters(ex, LP, eps)
-        assert err.value.stage == "predictor"
+        for arg in (eps, Jet.variable(eps, 1)):     # a jet's message gives its value
+            with pytest.raises(BthomError, match=re.escape(f"blow-up at eps = {eps!r} is not")) as err:
+                lift_parameters(ex, LP, arg)
+            assert err.value.stage == "predictor"
 
 
 class TestTimeReparam:
@@ -140,19 +143,17 @@ class TestTimeReparam:
         assert err.value.stage == "predictor"
 
     def test_bisection_safeguard_when_newton_overshoots(self, hh_orbital, monkeypatch):
-        import bthom.predictor as pr
         _, ex = hh_orbital
         eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
         ts = np.linspace(-30, 30, 41)
         exact = invert_time(ex, LP, eps, ts)
-        true_reparam = pr.time_reparam
+        true_theta = ex.theta_eval
 
-        def small_slope(*args):
+        def small_slope(w0, beta2):
             # a slope 10x too small makes Newton overshoot its bracket
-            t = true_reparam(*args)
-            return Jet(t.f, 0.1 * t.d)
+            return 0.1 * true_theta(w0, beta2)
 
-        monkeypatch.setattr(pr, "time_reparam", small_slope)
+        monkeypatch.setattr(ex, "theta_eval", small_slope)
         back = invert_time(ex, LP, eps, ts)
         assert np.max(np.abs(time_reparam(ex, LP, eps, back) - ts)) <= 1e-10
         assert np.max(np.abs(back - exact)) <= 1e-9
@@ -190,6 +191,52 @@ class TestTimeReparam:
         assert err[0] <= bound
         if bound > 1e-14:
             assert fit_slope(epss, err) >= 5.5
+
+
+class TestOnePass:
+    """The predictor takes one series pass per time-inversion iterate and lifts
+    the last one."""
+
+    @pytest.mark.parametrize("method", [
+        pytest.param(RP, id="rp"),
+        pytest.param(Method("rp", PhaseChoice.L2), id="rp-l2"),
+        pytest.param(LP, id="lp"),
+        pytest.param(Method("lp", PhaseChoice.ALTGAMMA), id="lp-alt"),
+        pytest.param(Method("lp", lp_xi_identity=True), id="lp-xid"),
+    ])
+    def test_orbit_is_the_lift_of_the_inverted_times(self, method, hh_orbital):
+        _, ex = hh_orbital
+        eps = amplitude_to_eps(1e-2, ex.a, ex.b, ex.variant)
+        mesh = make_mesh(40, 4)
+        pred = sample_predictor(ex, method, eps, mesh, k=eps * 1e-4)
+        etas = invert_time(ex, method, eps, -pred.T + 2.0 * pred.T * mesh.fine)
+        lifted = lift_orbit(ex, method, eps, etas)
+        assert np.max(np.abs(pred.orbit - lifted)) <= 1e-14 * np.max(np.abs(lifted))
+
+    @pytest.mark.parametrize("kind", ["rp", "lp"])
+    def test_one_series_pass_per_iterate(self, kind, hh_orbital, monkeypatch):
+        import bthom.asymptotics as asy
+        _, ex = hh_orbital
+        method = Method(kind)
+        eps = amplitude_to_eps(3e-2, ex.a, ex.b, ex.variant)
+        mesh = make_mesh(40, 4)
+        T = ttol_to_T(eps * 1e-4, eps, 3e-2, ex, method)
+        ts = -T + 2.0 * T * mesh.fine
+        passes = []
+        true_pass = asy.planar_pass
+
+        def counting(*args, **kwargs):
+            passes.append(1)
+            return true_pass(*args, **kwargs)
+
+        monkeypatch.setattr(asy, "planar_pass", counting)
+        invert_time(ex, method, eps, ts)
+        iterates = len(passes)
+        with pytest.raises(NoConvergenceError):
+            invert_time(ex, method, eps, ts, max_iter=iterates - 1)
+        passes.clear()
+        sample_predictor(ex, method, eps, mesh, k=eps * 1e-4)
+        assert len(passes) == 1 + iterates        # T's, then one per iterate
 
 
 class TestSaddle:
