@@ -54,7 +54,6 @@ __all__ = [
     "lp_orbit_of_s",
     "smooth_tau",
     "rp_int_u",
-    "lp_int_u",
     "planar_pass",
 ]
 
@@ -481,24 +480,18 @@ def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
 
 
 def _lp_int_jet(xi, zeta, phase: PhaseChoice, order: int, xi_identity: bool) -> Jet:
-    """`lp_int_u` as a jet in eps at eps = 0, truncated at eps^min(order, 3), at
-    xi and zeta = tanh(xi); xi is an eps-jet or a value free of eps."""
+    """int u ds of the LP orbit at UNIT, zero at xi = 0, as a jet in eps at
+    eps = 0, truncated at eps^min(order, 3), at xi and zeta = tanh(xi); xi is an
+    eps-jet or a value free of eps.
+
+    u ds is (u / omega) dxi, or u dxi when xi = s.  With dzeta = (1 - zeta^2) dxi,
+    the eps^k term q(zeta) (1 - zeta^2) + c1 zeta + c0 of the integrand
+    integrates to int_0^zeta q + c0 xi + c1 log cosh xi.
+    """
     order = min(order, 3)
     Q, c0, c1 = zip(*_lp_int_parts(phase, order, xi_identity))
     return (_peval_eps_jet(Q, zeta, order) + logcosh(xi) * _eps_jet(c1, order)
             + xi * _eps_jet(c0, order))
-
-
-def lp_int_u(xi, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3,
-             xi_identity: bool = False):
-    """int u ds of the LP orbit at UNIT as a function of xi, zero at xi = 0.
-
-    u ds is (u / omega) dxi, or u dxi when xi = s.  With zeta = tanh(xi),
-    dzeta = (1 - zeta^2) dxi, so the eps^k term q(zeta) (1 - zeta^2) + c1 zeta + c0
-    of the integrand integrates to int_0^zeta q + c0 xi + c1 log cosh xi.
-    """
-    xi = Jet(xi)
-    return _series(_lp_int_jet(xi, tanh(xi), phase, order, xi_identity).c, eps, order)
 
 
 # ---------------------------------------------------------------------------

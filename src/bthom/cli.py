@@ -6,13 +6,14 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from functools import partial
 
 import numpy as np
 
 from .asymptotics import PhaseChoice, lp_solve_quadratic
-from .corrector import convergence_study, ConvergenceRecord, _method_label
+from .corrector import convergence_study, ConvergenceRecord
 from .errors import BthomError
 from .model import ModelError, builtin_model, parse_model, HH_BT_STATE, HH_BT_ALPHA
 from .nfcoeffs import analyze_bt
@@ -27,7 +28,7 @@ _BUILTIN_POINTS = {
 }
 
 # --methods names, as the study CSV writes them
-_METHODS = {_method_label(m): m for m in (
+_METHODS = {m.label: m for m in (
     Method("rp"), Method("rp", PhaseChoice.L2), Method("lp"),
     Method("lp", PhaseChoice.ALTGAMMA), Method("lp", lp_xi_identity=True))}
 
@@ -182,7 +183,10 @@ def cmd_lpseries(args) -> int:
         lines.append(f"{i},{tau},{sig}")
     csv = "\n".join(lines) + "\n"
     omega = {f"omega{i}": [str(c) for c in p] for i, p in enumerate(series.omega)}
-    side = args.out and args.out.rsplit(".", 1)[0] + ".json"
+    side = args.out and os.path.splitext(args.out)[0] + ".json"
+    if side and side == args.out:
+        raise UsageError(f"--out {args.out!r} is the path of the omega sidecar; "
+                         "give it another extension")
     _emit(args.out, csv)
     _emit(side, json.dumps(omega, indent=2) + "\n", f"wrote {args.out} and {side}")
     return 0

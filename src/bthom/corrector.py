@@ -10,6 +10,7 @@ than equations (the homoclinic branch), so corrections are minimum-norm
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,12 +20,11 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .asymptotics import PhaseChoice
 from .errors import BthomError
 from .model import ModelError, OdeModel, derivatives, eval_rhs
 from .nfcoeffs import CmExpansion
 from .predictor import (HomPredictor, Mesh, NoConvergenceError, amplitude_to_eps,
-                        make_mesh, sample_predictor, Method)
+                        make_mesh, sample_predictor)
 
 __all__ = [
     "HomBvp",
@@ -82,7 +82,7 @@ def _views(runs: dict, flat: np.ndarray) -> dict:
 
 @dataclass(frozen=True, eq=False)
 class _MeshPattern:
-    """Everything a structural key (ntst, ncol, n, nU, dependency mask) fixes.
+    """Everything a structural key (ntst, ncol, n, nU, the model's reads) fixes.
 
     The collocation tables, the phase quadrature weights, the block layout of
     the defining system and the structure of its Jacobian.  The layout is two
@@ -92,7 +92,8 @@ class _MeshPattern:
     block of `bvp_jacobian` owns a named run of slots (``slots``); ``pos``
     maps every slot to its CSC position, slots summed into one entry sharing
     it and structurally zero slots (identity and Kronecker off-diagonals,
-    derivatives the model's code strings exclude) mapping to ``nnz``.
+    derivatives in variables a component does not read, see
+    :attr:`OdeModel.reads`) mapping to ``nnz``.
     ``order`` is the fill-reducing column elimination order of the bordered
     matrix [J; e_border^T].  Arrays are read-only: the cache hands them to
     every caller.
@@ -118,14 +119,8 @@ class _MeshPattern:
         return self.indices.size
 
 
-def _dependency_mask(model: OdeModel) -> tuple:
-    """Which of the n + 2 joint variables (x, alpha) each component's code names."""
-    return tuple(tuple(f"{v}[..., {j}]" in code for v, m in (("x", model.dim), ("a", 2))
-                       for j in range(m)) for code in model.rhs)
-
-
 @lru_cache(maxsize=8)
-def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, mask: tuple) -> _MeshPattern:
+def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, reads: tuple) -> _MeshPattern:
     """Build the :class:`_MeshPattern` of one structural key (cached)."""
     mesh = make_mesh(ntst, ncol)
     P, D = _lagrange_matrices(ncol, mesh.gauss)
@@ -139,7 +134,7 @@ def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, mask: tuple) -> _MeshPa
     # column and row indices of each run, in block shape
     u, e = _views(unknowns, np.arange(N)), _views(equations, np.arange(M))
     s0_alpha = np.concatenate([u["s0"], u["alpha"]])   # the saddle jet's variables
-    dep = np.array(mask, dtype=bool)
+    dep = np.array(reads, dtype=bool)
 
     def kron_keep(k, m):
         """Structure of kron(L, I_m) - kron(I_k, R): entries with a == c or b == d."""
@@ -271,7 +266,7 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
         raise NoConvergenceError("eigenvalues too close to the imaginary axis "
                                  "to split stable/unstable subspaces", stage="bvp")
     ntst, ncol = mesh.ntst, mesh.ncol
-    pattern = _mesh_pattern(ntst, ncol, n, nU, _dependency_mask(model))
+    pattern = _mesh_pattern(ntst, ncol, n, nU, model.reads)
     bvp = HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
                  ZU=ZU, ZS=ZS, n_unstable=nU, n_stable=nS,
                  xt_gauss=_at_gauss(pattern.P, x_tilde, ntst, ncol),
@@ -657,14 +652,6 @@ class ConvergenceRecord:
                 f"{self.iterations},{int(self.converged)}")
 
 
-_PHASE_LABELS = {PhaseChoice.VZERO: "", PhaseChoice.L2: "-l2", PhaseChoice.ALTGAMMA: "-alt"}
-
-
-def _method_label(m: Method) -> str:
-    """The method's name in the CLI and the study CSV: rp, rp-l2, lp, lp-alt, lp-xid."""
-    return m.kind + _PHASE_LABELS[m.phase] + ("-xid" if m.lp_xi_identity else "")
-
-
 def convergence_study(model: OdeModel, expansion: CmExpansion, methods,
                       orders, amplitudes, mesh: Mesh | None = None,
                       k_factor: float = 1e-4, tol: float = 1e-12) -> list[ConvergenceRecord]:
@@ -679,10 +666,8 @@ def convergence_study(model: OdeModel, expansion: CmExpansion, methods,
         mesh = make_mesh()
     records, unusable = [], []
     for spec in methods:
-        base = spec if isinstance(spec, Method) else Method(kind=str(spec))
         for order in orders:
-            m = Method(kind=base.kind, phase=base.phase, order=order,
-                       lp_xi_identity=base.lp_xi_identity)
+            m = dataclasses.replace(spec, order=order)
             for A0 in amplitudes:
                 eps = amplitude_to_eps(A0, expansion.a, expansion.b, expansion.variant)
                 delta, iters, ok, pred = float("nan"), 0, False, None
@@ -697,7 +682,7 @@ def convergence_study(model: OdeModel, expansion: CmExpansion, methods,
                     if pred is None:
                         unusable.append(exc)
                 records.append(ConvergenceRecord(
-                    model=model.name, method=_method_label(m),
+                    model=model.name, method=m.label,
                     variant=expansion.variant.value, order=order,
                     amplitude=float(A0), eps=float(eps), delta=delta,
                     iterations=iters, converged=ok))

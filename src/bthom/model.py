@@ -83,10 +83,8 @@ _FUNCTIONS = {name: getattr(jet, name)
 # ---------------------------------------------------------------------------
 
 _OPERATORS = {"+", "-", "*", "/", "^", "(", ")"}
-# Subscript and Tuple come only from the renaming: x[..., i]
 _NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Call, ast.Constant, ast.Name,
-          ast.Subscript, ast.Tuple, ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div,
-          ast.Pow, ast.USub)
+          ast.Load, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub)
 
 
 def _expr_code(text: str, line: int, names: dict) -> str:
@@ -96,7 +94,7 @@ def _expr_code(text: str, line: int, names: dict) -> str:
     through ``names`` unless they are _FUNCTIONS, ``^`` becomes ``**``, unary plus
     is dropped and numbers become floats, except an exponent, an int for Jet.__pow__.
     Python's parser then builds the tree, which may hold only arithmetic,
-    one-argument calls and integer exponents with at most one sign.
+    one-argument calls of _FUNCTIONS and integer exponents with at most one sign.
     """
     toks = []
     try:
@@ -142,9 +140,9 @@ def _expr_code(text: str, line: int, names: dict) -> str:
             e = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
             if not (isinstance(e, ast.Constant) and type(e.value) is int):
                 raise ParseError("exponent must be an integer literal", line)
-        if (not isinstance(node, _NODES) or isinstance(node, ast.Tuple) and not node.elts
-                or isinstance(node, ast.Call) and (len(node.args) != 1
-                                                   or not isinstance(node.func, ast.Name))):
+        if not isinstance(node, _NODES) or isinstance(node, ast.Call) and (
+                len(node.args) != 1 or not isinstance(node.func, ast.Name)
+                or node.func.id not in _FUNCTIONS):
             raise ParseError("malformed expression", line)
     return code
 
@@ -158,10 +156,12 @@ class OdeModel:
     """Parsed n-dimensional vector field with two active parameters.
 
     Immutable after construction; ``rhs`` holds Python code strings, one per
-    component, each compiled once against the functions of :mod:`bthom.jet`,
-    which take plain arrays and Taylor jets alike: :func:`eval_rhs` runs them
-    on arrays and :func:`derivatives` on jets.  Code that does not compile
-    raises :class:`ParseError`, its line the position in rhs.
+    component, in the names ``_0`` .. ``_{n+1}`` of the n states and then the
+    two active parameters.  Each compiles once to a function of these n + 2
+    variables and the functions of :mod:`bthom.jet`, which take plain arrays
+    and Taylor jets alike: :func:`eval_rhs` runs them on arrays and
+    :func:`derivatives` on jets.  Code that does not compile raises
+    :class:`ParseError`, its line the position in rhs.
     """
 
     dim: int
@@ -169,16 +169,27 @@ class OdeModel:
     active_params: tuple[str, str]
     fixed_params: dict[str, float]
     name: str = "model"
-    _fns: list = field(default_factory=list, repr=False)
+    _fns: list = field(init=False, repr=False)
+    _reads: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._fns = []
+        variables = [f"_{j}" for j in range(self.dim + 2)]
+        self._fns, reads = [], []
         for i, code in enumerate(self.rhs):
+            where = f"<{self.name}:x{i+1}'>"
             try:
-                fn = compile("lambda x, a: " + code, f"<{self.name}:x{i+1}'>", "eval")
+                names = compile(code, where, "eval").co_names
+                fn = compile(f"lambda {', '.join(variables)}: {code}", where, "eval")
             except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
                 raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from None
             self._fns.append(eval(fn, dict(_FUNCTIONS)))   # eval adds __builtins__ to a copy
+            reads.append(tuple(v in names for v in variables))
+        self._reads = tuple(reads)
+
+    @property
+    def reads(self) -> tuple[tuple[bool, ...], ...]:
+        """Per component, which of the n + 2 variables (x, alpha) its code names."""
+        return self._reads
 
 
 def parse_model(text: str, name: str = "model") -> OdeModel:
@@ -231,11 +242,11 @@ def parse_model(text: str, name: str = "model") -> OdeModel:
     if len(active) != 2:
         raise ParseError("expected exactly 2 active parameters ('par p1 p2')", len(lines) or 1)
 
-    names = {f"x{i+1}": f"x[..., {i}]" for i in range(dim)}
+    names = {f"x{i+1}": f"_{i}" for i in range(dim)}
     for j, p in enumerate(active):
         if p in names:
             raise ParseError(f"parameter {p!r} collides with a state name", 1)
-        names[p] = f"a[..., {j}]"
+        names[p] = f"_{dim + j}"
     for p, v in fixed.items():
         if p in names:
             raise ParseError(f"fixed parameter {p!r} collides with another name", 1)
@@ -267,13 +278,6 @@ def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Taylor-jet derivatives and the multilinear derivative oracle
 # ---------------------------------------------------------------------------
-
-class _Variables(tuple):
-    """The jets of the state or parameter components, indexed as x[..., i] in model code."""
-
-    def __getitem__(self, key):
-        return tuple.__getitem__(self, key[-1])
-
 
 @lru_cache(maxsize=None)
 def _polarization(d: int, order: int):
@@ -313,11 +317,10 @@ def _columns(model: OdeModel, x, alpha, order: int = 0) -> list:
     if x.shape[-1] != n or alpha.shape[-1] != 2:
         raise ModelEvalError(f"state and parameters have lengths {x.shape[-1]} and "
                              f"{alpha.shape[-1]}, expected {n} and 2")
-    args = (x, alpha)
+    args = [x[..., i] for i in range(n)] + [alpha[..., j] for j in range(2)]
     if order:
         dirs = _polarization(n + 2, order)[0]
-        args = [_Variables(Jet(p[..., None, i], dirs[:, i + offset], *[0.0] * (order - 1))
-                           for i in range(p.shape[-1])) for p, offset in ((x, 0), (alpha, n))]
+        args = [Jet(v[..., None], dirs[:, j], *[0.0] * (order - 1)) for j, v in enumerate(args)]
     cols = []
     with np.errstate(all="ignore"):
         for i, fn in enumerate(model._fns):

@@ -73,11 +73,11 @@ class Method:
         if self.lp_xi_identity and self.kind != "lp":
             raise ValueError("lp_xi_identity applies to the lp method only")
 
-
-def _as_method(method) -> Method:
-    if isinstance(method, Method):
-        return method
-    return Method(kind=str(method).lower())
+    @property
+    def label(self) -> str:
+        """The name in the CLI and the study CSV: rp, rp-l2, lp, lp-alt, lp-xid."""
+        phase = {PhaseChoice.VZERO: "", PhaseChoice.L2: "-l2", PhaseChoice.ALTGAMMA: "-alt"}
+        return self.kind + phase[self.phase] + ("-xid" if self.lp_xi_identity else "")
 
 
 @dataclass(frozen=True)
@@ -163,13 +163,13 @@ def _planar(expansion: CmExpansion, m: Method, eps, s, integral: bool):
 
 def planar_series(expansion: CmExpansion, method, eps: float, s):
     """Planar (u, v) of the blown-up oscillator at time s for this variant."""
-    return _planar(expansion, _as_method(method), eps, s, integral=False)
+    return _planar(expansion, method, eps, s, integral=False)
 
 
 def _beta(expansion: CmExpansion, method, eps):
     """Blow-up: (beta1, beta2) at eps, which may be a Jet."""
     coeffs, es = _smooth_family(expansion, eps)
-    tau = asy.smooth_tau(es, coeffs, order=_as_method(method).order)
+    tau = asy.smooth_tau(es, coeffs, order=method.order)
     return -4.0 / expansion.a * es ** 4, (expansion.b / expansion.a) * tau * es ** 2
 
 
@@ -184,16 +184,15 @@ def _blow_up(expansion: CmExpansion, method, eps: float, eta, lifted: bool = Tru
     orbital normal form has theta1000 != 0; there t integrates the series it
     lifts: t = eta (1 + theta0001 beta2) + theta1000 (eps_s / a) int_0^s u ds.
     """
-    m = _as_method(method)
     es, a = _smooth_family(expansion, eps)[1], expansion.a
     if not isinstance(eta, Jet):
         eta = np.asarray(eta, float)
     integral = timed and expansion.theta1000 != 0.0
     w0 = w1 = t = None
     if lifted or integral:
-        u, v, *U = _planar(expansion, m, eps, es * eta, integral)
+        u, v, *U = _planar(expansion, method, eps, es * eta, integral)
         w0, w1 = u / a * es ** 2, v / a * es ** 3
-    b1, b2 = _beta(expansion, m, eps)
+    b1, b2 = _beta(expansion, method, eps)
     if timed:
         t = eta * (1.0 + expansion.theta0001 * b2)
         if integral:
@@ -293,11 +292,10 @@ def invert_time(expansion: CmExpansion, method, eps: float, t, max_iter: int = 1
 
 def saddle_point(expansion: CmExpansion, method, eps: float) -> np.ndarray:
     """Saddle approximation: the eta -> infinity limit of the lifted orbit."""
-    m = _as_method(method)
     (a, b, a1, _, d, _), es = _smooth_family(expansion, eps)
     w0_inf = (1.0 / a) * es ** 2 * (2.0 - (2.0 * (5.0 * a1 * b + 7.0 * d)
                                            / (7.0 * a ** 2)) * es ** 2
-                                    * (1.0 if m.order >= 2 else 0.0))
+                                    * (1.0 if method.order >= 2 else 0.0))
     return expansion.x0 + expansion.H_eval(w0_inf, 0.0, *_beta(expansion, method, eps))
 
 
@@ -341,24 +339,23 @@ def sample_predictor(expansion: CmExpansion, method, eps: float,
                      mesh: Mesh | None = None, k: float | None = None) -> HomPredictor:
     """Assemble the full predictor on a collocation mesh.  A blow-up, T, eps0 or
     eps1 that is not finite and > 0 is a predictor-stage BthomError."""
-    m = _as_method(method)
     if mesh is None:
         mesh = make_mesh()
-    alpha = lift_parameters(expansion, m, Jet.variable(eps, 1))
+    alpha = lift_parameters(expansion, method, Jet.variable(eps, 1))
     A0 = 6.0 * _smooth_family(expansion, eps)[1] ** 2 / abs(expansion.a)
     if k is None:
         k = eps * 1e-4
-    T = ttol_to_T(k, eps, A0, expansion, m)
+    T = ttol_to_T(k, eps, A0, expansion, method)
     if not 0.0 < T < math.inf:
         raise BthomError(f"half-return time T = {T!r} at k = {k!r}", stage="predictor")
 
-    orbit = _lift(expansion, *_invert(expansion, m, eps, -T + 2.0 * T * mesh.fine, 100)[1])
-    s0 = saddle_point(expansion, m, eps)
+    orbit = _lift(expansion, *_invert(expansion, method, eps, -T + 2.0 * T * mesh.fine, 100)[1])
+    s0 = saddle_point(expansion, method, eps)
     eps0 = float(np.linalg.norm(orbit[0] - s0))
     eps1 = float(np.linalg.norm(orbit[-1] - s0))
     if not (0.0 < eps0 < math.inf and 0.0 < eps1 < math.inf):
         raise BthomError(f"end distances eps0 = {eps0!r}, eps1 = {eps1!r}", stage="predictor")
     sign = float(np.sign(alpha.d[0]))
-    return HomPredictor(method=m, variant=expansion.variant, eps=eps,
+    return HomPredictor(method=method, variant=expansion.variant, eps=eps,
                         alpha=alpha.f, T=T, mesh=mesh, orbit=orbit, s0=s0,
                         eps0=eps0, eps1=eps1, tangent_sign=sign)

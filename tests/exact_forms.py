@@ -109,16 +109,6 @@ def random_cubic_model(rng, dim=2):
     return text, forms
 
 
-class _Components:
-    """Stands in for the state or parameter array in model code: x[..., i]."""
-
-    def __init__(self, symbols):
-        self.symbols = symbols
-
-    def __getitem__(self, key):
-        return self.symbols[key[-1]]
-
-
 def model_forms(model, x0, alpha0):
     """SymbolicForms of a parsed model at (x0, alpha0), read from its code strings."""
     xvars = sp.symbols(f"x1:{model.dim + 1}")
@@ -126,6 +116,6 @@ def model_forms(model, x0, alpha0):
     ns = {"exp": sp.exp, "log": sp.log, "cosh": sp.cosh, "sinh": sp.sinh,
           "tanh": sp.tanh, "sqrt": sp.sqrt, "psi": lambda z: z / (sp.exp(z) - 1),
           "sech": lambda z: 1 / sp.cosh(z),
-          "x": _Components(xvars), "a": _Components(pvars)}
+          **{f"_{j}": v for j, v in enumerate(xvars + pvars)}}   # model code's variables
     exprs = [eval(code, ns) for code in model.rhs]
     return SymbolicForms(exprs, xvars, pvars, x0, alpha0)

@@ -30,6 +30,23 @@ class TestLpSeries:
         assert side["omega1"] == ["0", "-6/7"]
         assert side["omega3"] == ["0", "-198/2401", "0", "18/343"]
 
+    def test_sidecar_beside_an_output_in_a_dotted_directory(self, capsys, tmp_path):
+        (tmp_path / "run.v2").mkdir()
+        out = tmp_path / "run.v2" / "series"
+        code, _, _ = run(["lpseries", "--order", "2", "--out", str(out)], capsys)
+        assert code == 0
+        assert out.read_text().startswith("i,tau_i,sigma_i\n")
+        assert "omega1" in json.loads((tmp_path / "run.v2" / "series.json").read_text())
+        assert not (tmp_path / "run.json").exists()
+
+    def test_output_at_the_sidecar_path_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "series.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["lpseries", "--order", "2", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "sidecar" in capsys.readouterr().err.splitlines()[-1]
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_builtin_normal_form(self, capsys, tmp_path):

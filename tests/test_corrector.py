@@ -157,12 +157,17 @@ class TestJacobianPattern:
         assert J.format == "csc" and J.has_canonical_format
         assert np.array_equal(J.toarray(), _coo_jacobian(bvp, z).toarray())
 
+    # the states and active parameters each component of a builtin model reads
+    READS = {"bt_nf": ["x2", "x1 x2 p1 p2"],
+             "hh": ["x1 x2 x3 x4 vk i", "x1 x2", "x1 x3", "x1 x4"]}
+
     def test_no_entry_the_code_strings_exclude(self, benchmark_system):
         bvp, z = benchmark_system
         n, G = bvp.n, bvp.mesh.ntst * bvp.mesh.ncol
         n_orb = bvp.sizes()["orbit"]
-        names = [f"x[..., {j}]" for j in range(n)] + [f"a[..., {j}]" for j in range(2)]
-        named = np.array([[v in code for v in names] for code in bvp.model.rhs])
+        variables = [f"x{j + 1}" for j in range(n)] + list(bvp.model.active_params)
+        named = np.array([[v in row.split() for v in variables]
+                          for row in self.READS[bvp.model.name]])
         assert not named.all()             # the check below has entries to exclude
         J = bvp_jacobian(bvp, z).tocoo()
         rows, cols = J.row, J.col

@@ -98,6 +98,23 @@ class TestParsing:
         J = derivatives(m, [3.0, 0.0], [0.0, 0.0])[0]
         assert J[1, 0] == pytest.approx(slope, rel=1e-15)
 
+    @pytest.mark.parametrize("head, rhs2, plain_head, plain_rhs2", [
+        pytest.param("par lambda exp\n", "lambda + exp*x2 + x1*x2 - exp(x1)",
+                     "par p1 p2\n", "p1 + p2*x2 + x1*x2 - exp(x1)",
+                     id="keyword-and-function-as-active-names"),
+        pytest.param("par lambda exp\nfix if 2\n", "lambda + exp*x2 + if*x1^2 + exp(exp*x1)",
+                     "par p1 p2\nfix c 2\n", "p1 + p2*x2 + c*x1^2 + exp(p2*x1)",
+                     id="keyword-as-fixed-and-active-names"),
+    ])
+    def test_names_that_look_like_python(self, head, rhs2, plain_head, plain_rhs2):
+        """Names like Python keywords or jet functions give the numbers of plain names."""
+        m, plain = (parse_model(f"dim 2\n{h}x1' = x2\nx2' = {r}\n")
+                    for h, r in ((head, rhs2), (plain_head, plain_rhs2)))
+        x, alpha = np.array([[3.0, -0.5], [0.2, 1.0]]), np.array([[0.3, -0.7], [1.1, 0.4]])
+        assert np.array_equal(eval_rhs(m, x, alpha), eval_rhs(plain, x, alpha))
+        for t, t_plain in zip(derivatives(m, x, alpha, 3), derivatives(plain, x, alpha, 3)):
+            assert np.array_equal(t, t_plain)
+
     @pytest.mark.parametrize("text, match, line", [
         pytest.param("dim two\npar p1 p2\n", "expected 'dim <n>'", 1, id="dim-not-a-number"),
         pytest.param("dim 2 3\npar p1 p2\n", "expected 'dim <n>'", 1, id="dim-arity"),
@@ -128,7 +145,7 @@ class TestParsing:
 
     def test_code_that_does_not_compile_names_its_position(self):
         with pytest.raises(ParseError, match="line 2: code of x2'"):
-            OdeModel(dim=2, rhs=["x[..., 1]", "x[..., 0] +"], active_params=("p1", "p2"),
+            OdeModel(dim=2, rhs=["_1", "_0 +"], active_params=("p1", "p2"),
                      fixed_params={})
 
     def test_negative_fixed_parameter_gives_a(self):
