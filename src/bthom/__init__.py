@@ -10,7 +10,7 @@ defining system.
 """
 
 from .asymptotics import (In_closed, LpSeries, PhaseChoice, lp_orbit_third,
-                          lp_solve_quadratic, rp_orbit, smooth_tau, u0,
+                          lp_solve_quadratic, planar_pass, smooth_tau, u0,
                           xi_of_s)
 from .corrector import (ConvergenceRecord, HomBvp, build_bvp, bvp_jacobian,
                         bvp_residual, convergence_study, correct_predictor,

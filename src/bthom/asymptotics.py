@@ -44,16 +44,13 @@ __all__ = [
     "GAMMA3_L2",
     "ALT_GAMMA1",
     "u0",
-    "rp_orbit",
     "In_closed",
     "In_closed_parts",
     "LpSeries",
     "lp_solve_quadratic",
     "lp_orbit_third",
     "xi_of_s",
-    "lp_orbit_of_s",
     "smooth_tau",
-    "rp_int_u",
     "planar_pass",
 ]
 
@@ -393,16 +390,6 @@ def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
     return _series((s,) + _lp_parts(phase, tuple(coeffs))[3](s), eps, order)
 
 
-def lp_orbit_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-                  order: int = 3, xi_identity: bool = False, coeffs=UNIT):
-    """LP orbit (u, v) as a function of the original time s.
-
-    With ``xi_identity`` the higher-order time transform is dropped (xi = s),
-    which reproduces the historical predictor that loses the uniform accuracy.
-    """
-    return planar_pass(s, eps, "lp", phase, order, xi_identity, coeffs)
-
-
 # ---------------------------------------------------------------------------
 # smooth normal-form asymptotics (coefficients a, b, a1, b1, d, e)
 # ---------------------------------------------------------------------------
@@ -566,14 +553,3 @@ def _rp_terms(phase: PhaseChoice, coeffs=UNIT):
     """u_0..u_3 of the regular-perturbation series, each a function of s."""
     return tuple(lambda s, i=i: _pass_jets(s, 0.0, "rp", phase, 3, False, coeffs, False)[0].c[i]
                  for i in range(4))
-
-
-def rp_orbit(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-             order: int = 3, coeffs=UNIT):
-    """Regular-perturbation orbit (u, u') at time s, truncated at eps^order."""
-    return planar_pass(s, eps, "rp", phase, order, coeffs=coeffs)
-
-
-def rp_int_u(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO, order: int = 3):
-    """int_0^s u ds of the regular-perturbation orbit at UNIT, truncated at eps^order."""
-    return planar_pass(s, eps, "rp", phase, order, integral=True)[2]

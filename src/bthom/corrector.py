@@ -198,12 +198,12 @@ def _mesh_pattern(ntst: int, ncol: int, n: int, nU: int, reads: tuple) -> _MeshP
 
 @dataclass
 class HomBvp:
-    """Discretized homoclinic defining system with frozen bases and reference."""
+    """Discretized homoclinic defining system: frozen bases at the saddle guess
+    and the reference orbit at the collocation points, for the phase condition."""
 
     model: OdeModel
     mesh: Mesh
     T: float
-    x_tilde: np.ndarray          # reference orbit on the fine mesh
     ZU: np.ndarray               # Schur basis of the saddle Jacobian, unstable subspace first
     ZS: np.ndarray               # likewise, stable subspace first
     n_unstable: int
@@ -267,7 +267,7 @@ def build_bvp(model: OdeModel, mesh: Mesh, T: float, x_tilde: np.ndarray,
                                  "to split stable/unstable subspaces", stage="bvp")
     ntst, ncol = mesh.ntst, mesh.ncol
     pattern = _mesh_pattern(ntst, ncol, n, nU, model.reads)
-    bvp = HomBvp(model=model, mesh=mesh, T=float(T), x_tilde=np.array(x_tilde),
+    bvp = HomBvp(model=model, mesh=mesh, T=float(T),
                  ZU=ZU, ZS=ZS, n_unstable=nU, n_stable=nS,
                  xt_gauss=_at_gauss(pattern.P, x_tilde, ntst, ncol),
                  xt_dot_gauss=_at_gauss(pattern.D, x_tilde, ntst, ncol) * ntst,

@@ -160,8 +160,8 @@ class OdeModel:
     two active parameters.  Each compiles once to a function of these n + 2
     variables and the functions of :mod:`bthom.jet`, which take plain arrays
     and Taylor jets alike: :func:`eval_rhs` runs them on arrays and
-    :func:`derivatives` on jets.  Code that does not compile raises
-    :class:`ParseError`, its line the position in rhs.
+    :func:`derivatives` on jets.  Code that does not compile, or that names
+    anything else, raises :class:`ParseError`, its line the position in rhs.
     """
 
     dim: int
@@ -182,6 +182,9 @@ class OdeModel:
                 fn = compile(f"lambda {', '.join(variables)}: {code}", where, "eval")
             except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
                 raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from None
+            if unknown := sorted(set(names) - set(variables) - _FUNCTIONS.keys()):
+                raise ParseError(f"code of x{i+1}' names {', '.join(unknown)}, neither a "
+                                 "variable nor a model function", i + 1)
             self._fns.append(eval(fn, dict(_FUNCTIONS)))   # eval adds __builtins__ to a copy
             reads.append(tuple(v in names for v in variables))
         self._reads = tuple(reads)

@@ -99,10 +99,6 @@ class CmExpansion:
     max_solve_residual: float = 0.0
 
     @property
-    def n(self) -> int:
-        return self.eig.q0.size
-
-    @property
     def x0(self) -> np.ndarray:
         return self.eig.x0
 

@@ -147,23 +147,18 @@ def _smooth_family(expansion: CmExpansion, eps):
     return (a, b, expansion.a1, expansion.b1, expansion.d, expansion.e), eps
 
 
-def _planar(expansion: CmExpansion, m: Method, eps, s, integral: bool):
+def planar_series(expansion: CmExpansion, method, eps, s, integral: bool = False):
     """One pass of this variant's planar series at time s, summed at eps: (u, v)
     and, with ``integral``, int_0^s u ds.  The orbital series is the UNIT one
     (the family (a, b, 0, 0, 0, 0) at eps_s = (a/b) eps, seen at eps)."""
     if expansion.variant is Variant.ORBITAL:
         coeffs = asy.UNIT
-    elif m.phase is not PhaseChoice.VZERO:
-        raise ValueError(f"the {m.phase.value} phase exists for the orbital variant only")
+    elif method.phase is not PhaseChoice.VZERO:
+        raise ValueError(f"the {method.phase.value} phase exists for the orbital variant only")
     else:
         coeffs = _smooth_family(expansion, eps)[0]
-    return asy.planar_pass(s, eps, m.kind, m.phase, m.order, m.lp_xi_identity, coeffs,
-                           integral)
-
-
-def planar_series(expansion: CmExpansion, method, eps: float, s):
-    """Planar (u, v) of the blown-up oscillator at time s for this variant."""
-    return _planar(expansion, method, eps, s, integral=False)
+    return asy.planar_pass(s, eps, method.kind, method.phase, method.order,
+                           method.lp_xi_identity, coeffs, integral)
 
 
 def _beta(expansion: CmExpansion, method, eps):
@@ -173,12 +168,10 @@ def _beta(expansion: CmExpansion, method, eps):
     return -4.0 / expansion.a * es ** 4, (expansion.b / expansion.a) * tau * es ** 2
 
 
-def _blow_up(expansion: CmExpansion, method, eps: float, eta, lifted: bool = True,
-             timed: bool = True):
+def _blow_up(expansion: CmExpansion, method, eps: float, eta, lifted: bool = True):
     """The predictor at normal-form time eta from at most one series pass:
-    (w0, w1, beta1, beta2, t), with w0 and w1 if ``lifted`` or if t needs the
-    pass, and the time map t(eta), t(0) = 0, if ``timed`` (None otherwise).
-    eta may be a Jet.
+    (w0, w1, beta1, beta2, t), t(eta) the time map with t(0) = 0; eta may be a
+    Jet.  w0 and w1 are None unless ``lifted`` or t needs the pass.
 
     dt/deta = theta(w0, beta2) = 1 + theta1000 w0 + theta0001 beta2.  Only the
     orbital normal form has theta1000 != 0; there t integrates the series it
@@ -187,22 +180,16 @@ def _blow_up(expansion: CmExpansion, method, eps: float, eta, lifted: bool = Tru
     es, a = _smooth_family(expansion, eps)[1], expansion.a
     if not isinstance(eta, Jet):
         eta = np.asarray(eta, float)
-    integral = timed and expansion.theta1000 != 0.0
-    w0 = w1 = t = None
+    integral = expansion.theta1000 != 0.0
+    w0 = w1 = None
     if lifted or integral:
-        u, v, *U = _planar(expansion, method, eps, es * eta, integral)
+        u, v, *U = planar_series(expansion, method, eps, es * eta, integral)
         w0, w1 = u / a * es ** 2, v / a * es ** 3
     b1, b2 = _beta(expansion, method, eps)
-    if timed:
-        t = eta * (1.0 + expansion.theta0001 * b2)
-        if integral:
-            t = t + expansion.theta1000 * (es / a) * U[0]
+    t = eta * (1.0 + expansion.theta0001 * b2)
+    if integral:
+        t = t + expansion.theta1000 * (es / a) * U[0]
     return w0, w1, b1, b2, t
-
-
-def _w_beta(expansion: CmExpansion, method, eps: float, eta):
-    """Blow-up: (w0, w1, beta1, beta2) at normal-form time eta."""
-    return _blow_up(expansion, method, eps, eta, timed=False)[:4]
 
 
 def _lift(expansion: CmExpansion, w0, w1, b1, b2):
@@ -211,7 +198,7 @@ def _lift(expansion: CmExpansion, w0, w1, b1, b2):
 
 def lift_orbit(expansion: CmExpansion, method, eps: float, eta):
     """Phase-space predictor x(eta) = x0 + H(w(eta), beta), one row per eta."""
-    return _lift(expansion, *_w_beta(expansion, method, eps, eta))
+    return _lift(expansion, *_blow_up(expansion, method, eps, eta)[:4])
 
 
 def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
@@ -235,8 +222,8 @@ def lift_parameters(expansion: CmExpansion, method, eps) -> np.ndarray:
 def time_reparam(expansion: CmExpansion, method, eps: float, eta):
     """Original-system time t(eta) with t(0) = 0; eta may be a Jet.
 
-    dt/deta = theta(w0, beta2).  Only the orbital normal form has theta1000 != 0,
-    so int w0 deta integrates the series it lifts, at (UNIT, eps).
+    dt/deta = theta(w0, beta2).  Only the orbital normal form has theta1000 != 0
+    and takes a series pass, for int w0 deta at (UNIT, eps); the others read beta2.
     """
     return _blow_up(expansion, method, eps, eta, lifted=False)[4]
 

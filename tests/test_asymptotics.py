@@ -7,9 +7,8 @@ from numpy.polynomial.polynomial import polyder, polyval
 
 import bthom.asymptotics as asy
 from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, SIGMA3_L2, UNIT, In_closed,
-                               In_closed_parts, PhaseChoice,
-                               lp_orbit_of_s, lp_orbit_third,
-                               lp_solve_quadratic, rp_orbit, smooth_tau, u0,
+                               In_closed_parts, PhaseChoice, lp_orbit_third,
+                               lp_solve_quadratic, planar_pass, smooth_tau, u0,
                                xi_of_s)
 from bthom.jet import Jet, tanh
 from conftest import NF_COEFFS, fit_slope
@@ -35,7 +34,7 @@ class TestZerothOrder:
 class TestRegularPerturbation:
     def test_eps_zero_reduces_to_u0(self):
         s = np.linspace(-3, 3, 11)
-        u, ud = rp_orbit(s, 0.0)
+        u, ud = planar_pass(s, 0.0, "rp")
         u_ref, ud_ref = u0(s)
         assert np.allclose(u, u_ref, atol=1e-15)
         assert np.allclose(ud, ud_ref, atol=1e-15)
@@ -76,7 +75,7 @@ class TestRegularPerturbation:
 
     def test_vzero_phase_condition(self):
         for eps in (0.1, 0.05):
-            _, ud = rp_orbit(0.0, eps, PhaseChoice.VZERO)
+            _, ud = planar_pass(0.0, eps, "rp", PhaseChoice.VZERO)
             assert abs(ud) < 1e-13
 
     def test_l2_phase_condition_integral_vanishes(self):
@@ -99,18 +98,18 @@ class TestRegularPerturbation:
         # u(s, -eps) - u(-s, eps) is a multiple of u0' (zero for this phase)
         s = np.linspace(-4, 4, 33)
         for eps in (0.1, 0.05):
-            up, _ = rp_orbit(s, eps, PhaseChoice.VZERO)
-            um, _ = rp_orbit(-s, -eps, PhaseChoice.VZERO)
+            up, _ = planar_pass(s, eps, "rp", PhaseChoice.VZERO)
+            um, _ = planar_pass(-s, -eps, "rp", PhaseChoice.VZERO)
             assert np.max(np.abs(up - um)) < 1e-10
 
     @pytest.mark.parametrize("phase", [PhaseChoice.VZERO, PhaseChoice.L2])
     def test_jet_eps_is_read_at_its_value(self, phase):
         """A jet eps carries d/deps at its own base point, here eps = 0.1."""
         s, h = np.linspace(-6, 6, 49), 1e-5
-        u, v = rp_orbit(s, Jet.variable(0.1, 1), phase)
-        up, vp = rp_orbit(s, 0.1 + h, phase)
-        um, vm = rp_orbit(s, 0.1 - h, phase)
-        assert np.max(np.abs(u.f - rp_orbit(s, 0.1, phase)[0])) <= 1e-15
+        u, v = planar_pass(s, Jet.variable(0.1, 1), "rp", phase)
+        up, vp = planar_pass(s, 0.1 + h, "rp", phase)
+        um, vm = planar_pass(s, 0.1 - h, "rp", phase)
+        assert np.max(np.abs(u.f - planar_pass(s, 0.1, "rp", phase)[0])) <= 1e-15
         assert np.max(np.abs(u.d - (up - um) / (2 * h))) <= 1e-8
         assert np.max(np.abs(v.d - (vp - vm) / (2 * h))) <= 1e-8
         xi = xi_of_s(s, Jet.variable(0.1, 1))
@@ -119,7 +118,7 @@ class TestRegularPerturbation:
 
     def test_altgamma_not_supported(self):
         with pytest.raises(ValueError):
-            rp_orbit(0.0, 0.1, PhaseChoice.ALTGAMMA)
+            planar_pass(0.0, 0.1, "rp", PhaseChoice.ALTGAMMA)
 
     @pytest.mark.parametrize("order", range(4))
     def test_l2_is_the_shifted_vzero_series(self, order):
@@ -135,7 +134,7 @@ class TestRegularPerturbation:
         ud_e = sum(e ** i * (c[i][k + 1] * (k + 1)) * sigma ** k
                    for i in range(order + 1) for k in range(order + 1))
         for eps in (0.3, 0.1, 0.05):
-            u, ud = rp_orbit(s, eps, PhaseChoice.L2, order)
+            u, ud = planar_pass(s, eps, "rp", PhaseChoice.L2, order)
             assert np.max(np.abs(asy._series(u_e.c, eps, order) - u)) <= 1e-14
             assert np.max(np.abs(asy._series(ud_e.c, eps, order) - ud)) <= 1e-14
 
@@ -144,10 +143,14 @@ class TestRegularPerturbation:
         s = np.linspace(-8, 8, 161)
         for order in range(4):
             for eps in (0.3, 0.1):
-                integral = asy.rp_int_u(Jet.variable(s, 1), eps, phase, order)
-                u, _ = rp_orbit(s, eps, phase, order)
+                integral = planar_pass(Jet.variable(s, 1), eps, "rp", phase, order,
+                                       integral=True)[2]
+                u, _ = planar_pass(s, eps, "rp", phase, order)
                 assert np.max(np.abs(integral.d - u)) <= 1e-14
-                assert asy.rp_int_u(0.0, eps, phase, order) == 0.0
+                assert planar_pass(0.0, eps, "rp", phase, order, integral=True)[2] == 0.0
+        for kind in ("rp", "lp"):   # the integral exists at the coefficients UNIT only
+            with pytest.raises(ValueError, match="UNIT only"):
+                planar_pass(0.5, 0.1, kind, coeffs=(1, 2, 0.1, 0.2, 0.3, 0.4), integral=True)
 
 
 class TestGammaConstants:
@@ -304,8 +307,8 @@ class TestLpOrbit:
         s = np.linspace(-6, 6, 61)
         ratios = []
         for eps in (0.1, 0.05, 0.025):
-            u_lp, _ = lp_orbit_of_s(s, eps)
-            u_rp, _ = rp_orbit(s, eps)
+            u_lp, _ = planar_pass(s, eps, "lp")
+            u_rp, _ = planar_pass(s, eps, "rp")
             ratios.append(np.max(np.abs(u_lp - u_rp)) / eps ** 4)
         assert np.std(ratios) / np.mean(ratios) < 0.05  # clean O(eps^4)
 
@@ -368,8 +371,8 @@ class TestSmoothNormalForm:
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
         assert lp_orbit_third(0.4, 0.1, coeffs=list(quad)) == (u1, v1)
-        u1, v1 = rp_orbit(1.3, 0.1, coeffs=quad)
-        u2, v2 = rp_orbit(1.3, 0.1)
+        u1, v1 = planar_pass(1.3, 0.1, "rp", coeffs=quad)
+        u2, v2 = planar_pass(1.3, 0.1, "rp")
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
         assert smooth_tau(0.3, quad) == smooth_tau(0.3, UNIT)
@@ -433,4 +436,4 @@ class TestSmoothNormalForm:
 
     def test_requires_nonzero_ab(self):
         with pytest.raises(ValueError):
-            rp_orbit(0.1, 0.1, coeffs=(0.0, 1.0, 0, 0, 0, 0))
+            planar_pass(0.1, 0.1, "rp", coeffs=(0.0, 1.0, 0, 0, 0, 0))

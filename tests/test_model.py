@@ -144,9 +144,11 @@ class TestParsing:
         assert exc.value.line == line
 
     def test_code_that_does_not_compile_names_its_position(self):
-        with pytest.raises(ParseError, match="line 2: code of x2'"):
-            OdeModel(dim=2, rhs=["_1", "_0 +"], active_params=("p1", "p2"),
-                     fixed_params={})
+        # code that compiles but names an unknown variable or module fails here too
+        for code in ("_0 +", "_0 + y", "np.exp(_0)"):
+            with pytest.raises(ParseError, match="line 2: code of x2'"):
+                OdeModel(dim=2, rhs=["_1", code], active_params=("p1", "p2"),
+                         fixed_params={})
 
     def test_negative_fixed_parameter_gives_a(self):
         m = planar("p1 + p2*x2 + c^2*x1^2 + x1*x2", "fix c -1\n")

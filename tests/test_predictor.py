@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize as so
 
 from conftest import NF_COEFFS, fit_slope
-from bthom.asymptotics import UNIT, PhaseChoice, lp_orbit_of_s, rp_orbit, smooth_tau
+from bthom.asymptotics import UNIT, PhaseChoice, planar_pass, smooth_tau
 from bthom.errors import BthomError
 from bthom.jet import Jet
 from bthom.model import builtin_model, eval_rhs, parse_model
@@ -64,7 +64,7 @@ class TestLift:
     @pytest.mark.parametrize("kind", ["rp", "lp"])
     def test_orbital_blow_up_is_smooth_family_at_scaled_eps(self, kind, hh_orbital):
         # the orbital blow-up written out, against the smooth one at (a/b) eps
-        from bthom.predictor import _w_beta
+        from bthom.predictor import _blow_up
         _, ex = hh_orbital
         a, b = ex.a, ex.b
         assert a / b < 0
@@ -73,12 +73,11 @@ class TestLift:
         s = (a / b) * eps * eta
         for order in range(4):
             m = Method(kind, order=order)
-            series = rp_orbit if kind == "rp" else lp_orbit_of_s
-            u, v = series(s, eps, order=order)
+            u, v = planar_pass(s, eps, kind, order=order)
             want = ((a / b ** 2) * u * eps ** 2, (a ** 2 / b ** 3) * v * eps ** 3,
                     -4.0 * a ** 3 / b ** 4 * eps ** 4,
                     (a / b) * smooth_tau(eps, UNIT, order) * eps ** 2)
-            for got, ref in zip(_w_beta(ex, m, eps, eta), want):
+            for got, ref in zip(_blow_up(ex, m, eps, eta)[:4], want):
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
@@ -178,14 +177,14 @@ class TestTimeReparam:
         pytest.param(Method("lp", lp_xi_identity=True), 1e-14, id="lp-xid"),
     ])
     def test_time_map_integrates_the_lifted_series(self, method, bound, nf_orbital):
-        from bthom.predictor import _w_beta
+        from bthom.predictor import _blow_up
         _, ex = nf_orbital
         assert ex.theta1000 != 0.0
         epss = [0.1, 0.05, 0.025]
         err = []
         for eps in epss:
             eta = np.linspace(-8, 8, 161) / abs(ex.a / ex.b * eps)
-            w0, _, _, beta2 = _w_beta(ex, method, eps, eta)
+            w0, _, _, beta2, _ = _blow_up(ex, method, eps, eta)
             dt = time_reparam(ex, method, eps, Jet.variable(eta, 1)).d
             err.append(np.max(np.abs(dt - ex.theta_eval(w0, beta2))))
         assert err[0] <= bound
