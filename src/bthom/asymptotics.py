@@ -83,6 +83,23 @@ class PhaseChoice(enum.Enum):
     ALTGAMMA = "altgamma"  # alternative LP phase with gamma_1 != 0
 
 
+_KIND_PHASES = {"rp": (PhaseChoice.VZERO, PhaseChoice.L2),        # the phases of each kind
+                "lp": (PhaseChoice.VZERO, PhaseChoice.ALTGAMMA)}
+
+
+def check_series(kind: str, phase: PhaseChoice, order: int, xi_identity: bool = False) -> None:
+    """A ValueError unless these name a series here: kind rp or lp, one of its
+    phases, an order in 0..3, and xi_identity for lp only."""
+    if kind not in _KIND_PHASES:
+        raise ValueError(f"series kind must be 'rp' or 'lp', not {kind!r}")
+    if phase not in _KIND_PHASES[kind]:
+        raise ValueError(f"{kind} has no {getattr(phase, 'value', phase)} phase")
+    if order not in range(4):
+        raise ValueError(f"order must be in 0..3, not {order!r}")
+    if xi_identity and kind != "lp":
+        raise ValueError("xi_identity applies to the lp method only")
+
+
 def _check_family(phase: PhaseChoice, coeffs) -> None:
     if coeffs[0] == 0 or coeffs[1] == 0:
         raise ValueError("a and b must be nonzero")
@@ -468,14 +485,13 @@ def _lp_int_parts(phase: PhaseChoice, order: int, xi_identity: bool):
 
 def _lp_int_jet(xi, zeta, phase: PhaseChoice, order: int, xi_identity: bool) -> Jet:
     """int u ds of the LP orbit at UNIT, zero at xi = 0, as a jet in eps at
-    eps = 0, truncated at eps^min(order, 3), at xi and zeta = tanh(xi); xi is an
+    eps = 0, truncated at eps^order (<= 3), at xi and zeta = tanh(xi); xi is an
     eps-jet or a value free of eps.
 
     u ds is (u / omega) dxi, or u dxi when xi = s.  With dzeta = (1 - zeta^2) dxi,
     the eps^k term q(zeta) (1 - zeta^2) + c1 zeta + c0 of the integrand
     integrates to int_0^zeta q + c0 xi + c1 log cosh xi.
     """
-    order = min(order, 3)
     Q, c0, c1 = zip(*_lp_int_parts(phase, order, xi_identity))
     return (_peval_eps_jet(Q, zeta, order) + logcosh(xi) * _eps_jet(c1, order)
             + xi * _eps_jet(c0, order))
@@ -491,8 +507,6 @@ def _rp_xi(s, phase: PhaseChoice, order: int, coeffs=UNIT) -> Jet:
     """xi(s, eps) of the v(0) = 0 series as an eps-jet, order <= 3; s may be a
     jet (in another variable, so a constant in eps).  L2 is that series at the
     time s + sigma, sigma = GAMMA1_L2 eps + SIGMA3_L2 eps^3."""
-    if phase not in (PhaseChoice.VZERO, PhaseChoice.L2):
-        raise ValueError("regular perturbation supports the VZERO and L2 phases only")
     _check_family(phase, coeffs)
     if isinstance(s, Jet):
         s = Jet(s)
@@ -505,8 +519,7 @@ def _pass_jets(s, eps: float, kind: str, phase: PhaseChoice, order: int,
                xi_identity: bool, coeffs, integral: bool):
     """`planar_pass` before its sum at eps: the eps-jets at eps = 0 of u, v and,
     with ``integral``, of int_0^s u ds.  For rp their coefficients are the RP
-    terms, read from the LP series at the eps-jet xi(s, eps)."""
-    order = min(order, 3)
+    terms, read from the LP series at the eps-jet xi(s, eps); order <= 3."""
     if kind == "rp":
         xi = _rp_xi(s, phase, order, coeffs)
         lp_phase = PhaseChoice.VZERO
@@ -543,8 +556,10 @@ def planar_pass(s, eps: float, kind: str, phase: PhaseChoice = PhaseChoice.VZERO
 
     The rp orbit at s is the v(0) = 0 one at s + sigma (sigma = 0 at v(0) = 0),
     so its integral is U(s + sigma) - U(sigma), U the LP integral at xi(s, eps);
-    the lp integral vanishes at xi = 0 by itself.
+    the lp integral vanishes at xi = 0 by itself.  Arguments that name no
+    series (see `check_series`) are a ValueError.
     """
+    check_series(kind, phase, order, xi_identity)
     return tuple(_series(j.c, eps, order)
                  for j in _pass_jets(s, eps, kind, phase, order, xi_identity, coeffs, integral))
 

@@ -120,8 +120,10 @@ def _mesh(args):
 def _method(args) -> Method:
     if not 0 <= args.order <= 3:
         raise UsageError("--order must be in 0..3")
-    phase = PhaseChoice(args.phase)
-    return Method(kind=args.method, phase=phase, order=args.order)
+    try:
+        return Method(kind=args.method, phase=PhaseChoice(args.phase), order=args.order)
+    except ValueError as exc:      # a phase the series lacks
+        raise UsageError(f"--phase: {exc}") from None
 
 
 def _check_phase(option: str, expansion, method: Method) -> None:

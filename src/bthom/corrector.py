@@ -95,8 +95,8 @@ class _MeshPattern:
     derivatives in variables a component does not read, see
     :attr:`OdeModel.reads`) mapping to ``nnz``.
     ``order`` is the fill-reducing column elimination order of the bordered
-    matrix [J; e_border^T].  Arrays are read-only: the cache hands them to
-    every caller.
+    matrix [J; e_border^T]; every border row is factored in it.  Arrays are
+    read-only: the cache hands them to every caller.
     """
 
     P: np.ndarray                # local basis values at Gauss points
@@ -422,34 +422,19 @@ def bvp_jacobian(bvp: HomBvp, z: np.ndarray) -> scipy.sparse.csc_matrix:
     return scipy.sparse.csc_matrix((data, pat.indices, pat.indptr), shape=pat.shape)
 
 
-def _unit_bordered_solver(J, k: int, order: np.ndarray):
-    """Solver of [J; e_k^T] x = b, or None when splu finds that matrix singular.
-
-    The columns are factored in ``order`` as given (NATURAL), so no ordering is
-    computed per step.
-    """
-    m = J.shape[0]
-    Jq = J[:, order]
-    q = int(np.flatnonzero(order == k)[0])
-    at = Jq.indptr[q + 1]            # the border row is last: append to column q
-    indptr = Jq.indptr.copy()
-    indptr[q + 1:] += 1
-    B = scipy.sparse.csc_matrix((np.insert(Jq.data, at, 1.0), np.insert(Jq.indices, at, m),
-                                 indptr), shape=(m + 1, m + 1))
-    try:
-        lu = scipy.sparse.linalg.splu(B, permc_spec="NATURAL")
-    except RuntimeError:             # splu: the factor is exactly singular
-        return None
-
-    def solve(b):
-        x = np.empty_like(b)
-        x[order] = lu.solve(b)
-        return x
-
-    return solve
+def _bordered(J, c: np.ndarray, order: np.ndarray) -> scipy.sparse.csc_matrix:
+    """The square matrix [J; c^T] with its columns in ``order``, built by
+    appending c's nonzero entries to the columns of J[:, order]."""
+    Jq, cq = J[:, order], c[order]
+    nz = np.flatnonzero(cq)
+    at = Jq.indptr[nz + 1]               # the border row is last in each column
+    indptr = Jq.indptr + np.concatenate([[0], np.cumsum(cq != 0)])
+    return scipy.sparse.csc_matrix((np.insert(Jq.data, at, cq[nz]),
+                                    np.insert(Jq.indices, at, J.shape[0]), indptr),
+                                   shape=(J.shape[1], J.shape[1]))
 
 
-def _min_norm_step(J, r: np.ndarray, border, order: np.ndarray | None = None):
+def _min_norm_step(J, r: np.ndarray, border, order: np.ndarray):
     """Minimum-norm solution of J step = -r, the unit kernel vector t of J, and
     the same solve for other right-hand sides.
 
@@ -457,28 +442,33 @@ def _min_norm_step(J, r: np.ndarray, border, order: np.ndarray | None = None):
     to the kernel of J, gives v (J v = -r, c.v = 0) and w (J w = 0, c.w = 1).
     The minimum-norm step is v without its component along t = w/|w|.
 
-    ``border`` is c: a column index k for the unit row e_k, factored with the
-    columns in the elimination ``order`` (required then), or a dense row,
-    factored under a fresh MMD ordering.  When [J; e_k^T] is singular, or |t_k| = 1/|w| underflows
-    (e_k is numerically orthogonal to the kernel), the normalized all-ones row
-    is used instead.
+    ``border`` is c: a column index k for the unit row e_k, or a dense row;
+    either is factored with the columns in the elimination ``order`` as given
+    (NATURAL), so no ordering is computed per step.  When [J; e_k^T] is
+    singular, or |t_k| = 1/|w| underflows (e_k is numerically orthogonal to
+    the kernel), the normalized all-ones row is used instead.
     """
     N = J.shape[1]
     rhs = np.zeros((N, 2))
-    rhs[:-1, 0] = -r
-    rhs[-1, 1] = 1.0
-    bsolve = None
-    if np.ndim(border) == 0:
-        bsolve = _unit_bordered_solver(J, int(border), order)
-        if bsolve is not None:
-            v, w = bsolve(rhs).T
-            if not 0.0 < 1.0 / np.linalg.norm(w) < np.inf:
-                bsolve = None
-        border = np.full(N, N ** -0.5)          # the fallback row
-    if bsolve is None:
-        B = scipy.sparse.vstack([J, scipy.sparse.csc_matrix(border[None, :])], format="csc")
-        bsolve = scipy.sparse.linalg.splu(B, permc_spec="MMD_AT_PLUS_A").solve
+    rhs[:-1, 0], rhs[-1, 1] = -r, 1.0
+    rows = ([np.eye(1, N, int(border))[0], np.full(N, N ** -0.5)] if np.ndim(border) == 0
+            else [np.asarray(border, float)])          # e_k, then the fallback row
+
+    def bsolve(b):
+        x = np.empty_like(b)
+        x[order] = lu.solve(b)
+        return x
+
+    for c in rows:
+        try:
+            lu = scipy.sparse.linalg.splu(_bordered(J, c, order), permc_spec="NATURAL")
+        except RuntimeError:                # splu: the factor is exactly singular
+            if c is rows[-1]:
+                raise
+            continue
         v, w = bsolve(rhs).T
+        if c is rows[-1] or 0.0 < 1.0 / np.linalg.norm(w) < np.inf:
+            break
     t = w / np.linalg.norm(w)
 
     def solve(rhs):
@@ -492,29 +482,26 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
                    max_iter: int = 20) -> tuple[np.ndarray, int]:
     """Moore-Penrose (minimum-norm) Newton onto the solution manifold.
 
-    Each full step borders a fresh Jacobian with a unit row e_k, as in the
+    A full step borders a fresh Jacobian with a unit row e_k, as in the
     corrector of Allgower & Georg, Introduction to Numerical Continuation
     Methods (2003): any e_k not orthogonal to the kernel gives the same
     minimum-norm step.  The first step takes k = the first active parameter,
     later ones the largest entry of the previous kernel vector;
-    `_min_norm_step` falls back to the all-ones row when e_k fails.  The
-    column order of the factorization is cached per mesh and model structure.
-    The step is halved until the trial point passes the natural monotonicity
-    test of Deuflhard, Newton Methods for Nonlinear Problems (2004): its
-    simplified Newton correction, from the same factorization, is shorter
-    than the step.  Unlike the residual norm, that test does not depend on
-    how the equations are scaled.  It is also halved where the model fails
-    at the trial point or the residual there diverges.
+    `_min_norm_step` falls back to the all-ones row when e_k fails.  After an
+    undamped step whose simplified correction is shorter than a quarter of
+    it, that correction, from the held factorization, is a simplified step
+    (Deuflhard, Newton Methods for Nonlinear Problems (2004), §2.1; the chord
+    corrector of Allgower & Georg, ch. 3).
 
-    Simplified steps (Deuflhard §2.1; the chord corrector of Allgower &
-    Georg, ch. 3) reuse the factorization: after an undamped full step whose
-    simplified correction is shorter than a quarter of the step, that
-    correction is the next step, and so on while each correction is shorter
-    than a quarter of the one before.  A simplified step that fails this
-    test without meeting the stopping test, or where the model fails or the
-    residual diverges, is discarded, and the next step is a full one from a
-    fresh Jacobian at the current point.  The stopping test is
-    ``|r| <= tol (1 + max|z0|)`` throughout; a trial point that meets it is returned.
+    Each iteration runs one trial loop over its candidates: the simplified
+    step, if there is one, then the full step and up to 5 halvings of it.  A
+    trial point that meets the stopping test ``|r| <= tol (1 + max|z0|)`` is
+    returned.  One whose simplified correction is shorter than the full step,
+    or than a quarter of the simplified step, is accepted: Deuflhard's natural
+    monotonicity test, which unlike the residual norm does not depend on how
+    the equations are scaled.  Where the model fails or the residual diverges
+    it is rejected.  A rejected simplified step is followed, in the same
+    iteration, by a full step from a fresh Jacobian.
 
     Returns the corrected unknowns and the number of steps, full and
     simplified.  ``max_iter`` bounds that number: simplified steps converge
@@ -527,14 +514,6 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
     limit = tol * (1.0 + float(np.max(np.abs(z0))))
     huge = np.sqrt(np.finfo(float).max / (z.size - 1))   # |r| may overflow past it
 
-    def residual_or_none(z_new):
-        """r(z_new), or None where the model fails or r has diverged."""
-        try:
-            r_new = bvp_residual(bvp, z_new)
-        except ModelError:
-            return None
-        return r_new if np.max(np.abs(r_new)) < huge else None
-
     k, order = bvp.pattern.border, bvp.pattern.order
     r = bvp_residual(bvp, z)
     if not np.max(np.abs(r)) < huge:
@@ -543,42 +522,40 @@ def newton_correct(bvp: HomBvp, z0: np.ndarray, tol: float = 1e-10,
         return z, 0
     simplified = False
     for it in range(1, max_iter + 1):
-        if simplified:                   # the held factorization's correction bar
-            z_new = z + bar
-            r_new = residual_or_none(z_new)
-            if r_new is not None:
-                if np.linalg.norm(r_new) <= limit:
-                    return z_new, it
-                bar_new = solve(r_new)
-                if np.linalg.norm(bar_new) < 0.25 * np.linalg.norm(bar):
-                    z, r, bar = z_new, r_new, bar_new
+        for fresh in (False, True) if simplified else (True,):
+            if fresh:
+                try:
+                    dz, t, solve = _min_norm_step(bvp_jacobian(bvp, z), r, k, order)
+                except RuntimeError as exc:      # splu: the factor is exactly singular
+                    raise NoConvergenceError(
+                        f"singular bordered Jacobian at iteration {it}: {exc}") from exc
+                if not np.all(np.isfinite(dz)):
+                    raise NoConvergenceError(f"non-finite Newton step at iteration {it}")
+                k = int(np.argmax(np.abs(t)))
+                bound, damps = np.linalg.norm(dz), 0.5 ** np.arange(6)
+            else:                                # the held factorization's correction
+                dz, bound, damps = bar, 0.25 * np.linalg.norm(bar), (1.0,)
+            for damp in damps:
+                z_new = z + damp * dz
+                try:
+                    r_new = bvp_residual(bvp, z_new)
+                except ModelError:               # rejected, like a diverged residual
                     continue
-        J = bvp_jacobian(bvp, z)
-        try:
-            step, t, solve = _min_norm_step(J, r, k, order)
-        except RuntimeError as exc:      # splu: the factor is exactly singular
-            raise NoConvergenceError(
-                f"singular bordered Jacobian at iteration {it}: {exc}") from exc
-        if not np.all(np.isfinite(step)):
-            raise NoConvergenceError(f"non-finite Newton step at iteration {it}")
-        k = int(np.argmax(np.abs(t)))
-        step_norm = np.linalg.norm(step)
-        damp = 1.0
-        for _ in range(6):
-            z_new = z + damp * step
-            r_new = residual_or_none(z_new)
-            if r_new is not None:
+                if not np.max(np.abs(r_new)) < huge:
+                    continue
                 if np.linalg.norm(r_new) <= limit:
                     return z_new, it
-                bar = solve(r_new)       # the simplified correction at z_new
-                if np.linalg.norm(bar) < step_norm:
+                bar = solve(r_new)               # the simplified correction at z_new
+                if np.linalg.norm(bar) < bound:
                     break
-            damp *= 0.5
+            else:
+                continue
+            break
         else:
             raise NoConvergenceError(
                 f"no descent after damping (residual {np.linalg.norm(r):.3e})")
         z, r = z_new, r_new
-        simplified = damp == 1.0 and np.linalg.norm(bar) < 0.25 * step_norm
+        simplified = damp == 1.0 and np.linalg.norm(bar) < 0.25 * np.linalg.norm(dz)
     raise NoConvergenceError(f"Newton stalled at residual {np.linalg.norm(r):.3e}")
 
 

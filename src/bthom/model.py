@@ -93,8 +93,7 @@ def _expr_code(text: str, line: int, names: dict) -> str:
     Python's tokenizer splits ``text`` (columns are 1-based in it).  Names map
     through ``names`` unless they are _FUNCTIONS, ``^`` becomes ``**``, unary plus
     is dropped and numbers become floats, except an exponent, an int for Jet.__pow__.
-    Python's parser then builds the tree, which may hold only arithmetic,
-    one-argument calls of _FUNCTIONS and integer exponents with at most one sign.
+    Python's parser then builds the tree, which `_check_tree` checks.
     """
     toks = []
     try:
@@ -135,16 +134,25 @@ def _expr_code(text: str, line: int, names: dict) -> str:
         raise ParseError(f"malformed expression ({exc.args[0]})", line) from None
     except (RecursionError, MemoryError):
         raise ParseError("expression too long or nested too deeply", line) from None
+    _check_tree(tree, names.values(), line)
+    return code
+
+
+def _check_tree(tree: ast.AST, variables, line: int, what: str = "") -> None:
+    """A ParseError on ``line``, its message led by ``what``, unless the tree
+    holds only arithmetic, one-argument calls of _FUNCTIONS, integer exponents
+    with at most one sign, and names that are ``variables`` or _FUNCTIONS."""
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             e = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
             if not (isinstance(e, ast.Constant) and type(e.value) is int):
-                raise ParseError("exponent must be an integer literal", line)
+                raise ParseError(f"{what}exponent must be an integer literal", line)
+        if isinstance(node, ast.Name) and node.id not in variables and node.id not in _FUNCTIONS:
+            raise ParseError(f"{what}names {node.id}, neither a variable nor a function", line)
         if not isinstance(node, _NODES) or isinstance(node, ast.Call) and (
                 len(node.args) != 1 or not isinstance(node.func, ast.Name)
                 or node.func.id not in _FUNCTIONS):
-            raise ParseError("malformed expression", line)
-    return code
+            raise ParseError(f"{what}malformed expression", line)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +168,10 @@ class OdeModel:
     two active parameters.  Each compiles once to a function of these n + 2
     variables and the functions of :mod:`bthom.jet`, which take plain arrays
     and Taylor jets alike: :func:`eval_rhs` runs them on arrays and
-    :func:`derivatives` on jets.  Code that does not compile, or that names
-    anything else, raises :class:`ParseError`, its line the position in rhs.
+    :func:`derivatives` on jets.  Code that does not compile, or that fails
+    the tree check of :func:`parse_model` (arithmetic, one-argument calls of
+    those functions, integer exponents, these variables), raises
+    :class:`ParseError` naming the component, its line the position in rhs.
     """
 
     dim: int
@@ -178,14 +188,13 @@ class OdeModel:
         for i, code in enumerate(self.rhs):
             where = f"<{self.name}:x{i+1}'>"
             try:
-                names = compile(code, where, "eval").co_names
+                tree = ast.parse(code, where, "eval")
                 fn = compile(f"lambda {', '.join(variables)}: {code}", where, "eval")
             except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
                 raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from None
-            if unknown := sorted(set(names) - set(variables) - _FUNCTIONS.keys()):
-                raise ParseError(f"code of x{i+1}' names {', '.join(unknown)}, neither a "
-                                 "variable nor a model function", i + 1)
+            _check_tree(tree, variables, i + 1, f"code of x{i+1}': ")
             self._fns.append(eval(fn, dict(_FUNCTIONS)))   # eval adds __builtins__ to a copy
+            names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             reads.append(tuple(v in names for v in variables))
         self._reads = tuple(reads)
 

@@ -57,7 +57,8 @@ class Method:
     """Planar-series selection: RP or LP, phase condition, truncation order.
 
     ``lp_xi_identity`` drops the higher-order time transform of the LP method
-    (the historical predictor that degrades to zeroth-order accuracy).
+    (the historical predictor that degrades to zeroth-order accuracy).  A
+    selection that names no series is a ValueError (`asymptotics.check_series`).
     """
 
     kind: str = "lp"
@@ -66,12 +67,7 @@ class Method:
     lp_xi_identity: bool = False
 
     def __post_init__(self):
-        if self.kind not in ("rp", "lp"):
-            raise ValueError("method kind must be 'rp' or 'lp'")
-        if not 0 <= self.order <= 3:
-            raise ValueError("order must be in 0..3")
-        if self.lp_xi_identity and self.kind != "lp":
-            raise ValueError("lp_xi_identity applies to the lp method only")
+        asy.check_series(self.kind, self.phase, self.order, self.lp_xi_identity)
 
     @property
     def label(self) -> str:

@@ -120,6 +120,17 @@ class TestRegularPerturbation:
         with pytest.raises(ValueError):
             planar_pass(0.0, 0.1, "rp", PhaseChoice.ALTGAMMA)
 
+    @pytest.mark.parametrize("kind, kwargs, match", [
+        ("xx", {}, "kind must be 'rp' or 'lp'"),
+        ("lp", dict(order=7), r"order must be in 0\.\.3"),
+        ("lp", dict(order=-1), r"order must be in 0\.\.3"),
+        ("rp", dict(xi_identity=True, integral=True), "lp method only"),
+    ])
+    def test_pass_that_names_no_series_is_rejected(self, kind, kwargs, match):
+        """Each of these once returned some other series (or an IndexError)."""
+        with pytest.raises(ValueError, match=match):
+            planar_pass(np.array([0.3, 1.0]), 0.1, kind, **kwargs)
+
     @pytest.mark.parametrize("order", range(4))
     def test_l2_is_the_shifted_vzero_series(self, order):
         """u_L2(s) = u_VZERO(s + GAMMA1_L2 eps + SIGMA3_L2 eps^3), truncated in eps;

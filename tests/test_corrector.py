@@ -345,7 +345,7 @@ class TestNewton:
     def test_sparse_step_matches_dense_min_norm(self, predictor_system):
         bvp, z = predictor_system
         J, r = bvp_jacobian(bvp, z), bvp_residual(bvp, z)
-        step, t, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        step, t, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5), bvp.pattern.order)
         dense = scipy.linalg.lstsq(J.toarray(), -r, lapack_driver="gelsd")[0]
         assert np.linalg.norm(step - dense) <= 1e-7 * np.linalg.norm(dense)
         assert np.linalg.norm(t) == pytest.approx(1.0, abs=1e-14)
@@ -355,7 +355,8 @@ class TestNewton:
     def test_unit_border_step_matches_ones_border(self, benchmark_system):
         bvp, z = benchmark_system
         J, r = bvp_jacobian(bvp, z), bvp_residual(bvp, z)
-        ref, t_ref, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        ref, t_ref, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5),
+                                       bvp.pattern.order)
         order = bvp.pattern.order
         for k in (bvp.pattern.border, bvp.pattern.border + 1,
                   int(np.argmax(np.abs(t_ref))), z.size - 1):
@@ -372,7 +373,7 @@ class TestNewton:
         J = J.tocsc()
         ones = np.full(z.size, z.size ** -0.5)
         step, t, solve = _min_norm_step(J, r, bvp.pattern.border, bvp.pattern.order)
-        ref, t_ref, solve_ref = _min_norm_step(J, r, ones)
+        ref, t_ref, solve_ref = _min_norm_step(J, r, ones, bvp.pattern.order)
         assert np.array_equal(step, ref) and np.array_equal(t, t_ref)
         assert np.array_equal(solve(r), solve_ref(r))
         assert abs(t[0]) == pytest.approx(1.0, abs=1e-14)
@@ -389,7 +390,8 @@ class TestNewton:
         r = bvp_residual(bvp, z)
         with np.errstate(over="ignore"):
             step, t, _ = _min_norm_step(J, r, k, bvp.pattern.order)
-        ref, t_ref, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5))
+        ref, t_ref, _ = _min_norm_step(J, r, np.full(z.size, z.size ** -0.5),
+                                       bvp.pattern.order)
         assert np.array_equal(step, ref) and np.array_equal(t, t_ref)
 
     def test_cold_and_warm_cache_give_identical_corrections(self, hh_model, hh_orbital):

@@ -59,6 +59,8 @@ class TestEigenstructure:
     def test_rejects_rank_deficiency_beyond_two(self):
         with pytest.raises(NotBTError):
             bt_eigenstructure(np.zeros((3, 3)))
+        with pytest.raises(NotBTError, match="rank deficiency 3"):
+            bt_eigenstructure(np.diag([1.0, 0.0, 0.0, 0.0]))
 
     def test_rejects_triple_degeneracy(self):
         A = np.zeros((3, 3))

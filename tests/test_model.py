@@ -144,8 +144,11 @@ class TestParsing:
         assert exc.value.line == line
 
     def test_code_that_does_not_compile_names_its_position(self):
-        # code that compiles but names an unknown variable or module fails here too
-        for code in ("_0 +", "_0 + y", "np.exp(_0)"):
+        # code that compiles but names an unknown variable or module fails here
+        # too, like code outside the tree check of parse_model (a conditional,
+        # a comparison, a matrix product)
+        for code in ("_0 +", "_0 + y", "np.exp(_0)", "_0 if _1 > 0 else -_0", "(_0 > 0) * _0",
+                     "_0 @ _1"):
             with pytest.raises(ParseError, match="line 2: code of x2'"):
                 OdeModel(dim=2, rhs=["_1", code], active_params=("p1", "p2"),
                          fixed_params={})
@@ -167,6 +170,8 @@ class TestParsing:
         assert hh.dim == 4
         r = eval_rhs(hh, HH_BT_STATE, HH_BT_ALPHA)
         assert np.linalg.norm(r) < 1e-8
+        with pytest.raises(ValueError, match="unknown builtin model 'nope'"):
+            builtin_model("nope")
 
 
 class TestEvaluation:

@@ -23,6 +23,10 @@ class TestCriticalCoefficients:
         m = parse_model("dim 2\npar b1 b2\nx1' = x2\nx2' = b1 + b2*x2 + x1*x2\n")
         with pytest.raises(NonGenericBTError):
             analyze_bt(m, [0, 0], [0, 0])
+        # generic (a = b = 1), but the parameters enter only through x2 = 0
+        m = parse_model("dim 2\npar p1 p2\nx1' = x2\nx2' = p1*x2 + p2*x2 + x1^2 + x1*x2\n")
+        with pytest.raises(NonGenericBTError, match="transversality violated"):
+            analyze_bt(m, [0, 0], [0, 0])
 
     def test_recompute_from_stored_eigendata(self, nf_orbital):
         oracle, ex = nf_orbital

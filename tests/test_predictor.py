@@ -272,6 +272,8 @@ class TestEpsAndT:
         assert amplitude_to_eps(0.06, 1, 1, "orbital") == pytest.approx(0.1)
         assert amplitude_to_eps(6, 4, 2, "orbital") == pytest.approx(1.0)
         assert amplitude_to_eps(0.6, 1, 1, "smooth") == pytest.approx(np.sqrt(0.1))
+        with pytest.raises(ValueError, match="amplitude must be positive"):
+            amplitude_to_eps(0.0, 1.0, 1.0, "orbital")
 
     def test_sech_inverse_example_smooth_variant(self, nf_smooth):
         _, ex = nf_smooth
@@ -326,6 +328,21 @@ class TestSamplePredictor:
         with pytest.raises(ValueError, match="lp method only"):
             Method("rp", lp_xi_identity=True)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(kind="xx"), "kind must be 'rp' or 'lp'"),
+        (dict(order=4), r"order must be in 0\.\.3"),
+        (dict(kind="rp", phase=PhaseChoice.ALTGAMMA), "rp has no altgamma phase"),
+        (dict(kind="lp", phase=PhaseChoice.L2), "lp has no l2 phase"),
+    ])
+    def test_method_that_names_no_series_is_an_error(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            Method(**kwargs)
+
+    def test_mesh_needs_two_intervals_and_points(self):
+        for ntst, ncol in ((1, 4), (4, 1)):
+            with pytest.raises(ValueError, match="ntst >= 2 and ncol >= 2"):
+                make_mesh(ntst, ncol)
+
     def test_midpoint_matches_lift_for_symmetric_case(self, bt_nf_orbital):
         _, ex = bt_nf_orbital
         mesh = make_mesh(40, 4)
@@ -369,3 +386,5 @@ class TestTangent:
         _, ex = bt_nf_orbital
         with pytest.raises(ValueError):
             tangent_orientation(1.0, ex, LP, 0.0)
+        with pytest.raises(ValueError, match="vanishing alpha_1 component"):
+            tangent_orientation(0.0, ex, LP, 0.1)
