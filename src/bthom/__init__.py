@@ -9,9 +9,8 @@ the resulting predictor by Moore-Penrose Newton against the homoclinic
 defining system.
 """
 
-from .asymptotics import (In_closed, LpSeries, PhaseChoice, lp_orbit_third,
-                          lp_solve_quadratic, planar_pass, smooth_tau, u0,
-                          xi_of_s)
+from .asymptotics import (In_closed, LpSeries, PhaseChoice, lp_solve_quadratic,
+                          planar_pass, smooth_tau, u0, xi_of_s)
 from .corrector import (ConvergenceRecord, HomBvp, build_bvp, bvp_jacobian,
                         bvp_residual, convergence_study, correct_predictor,
                         correct_with_retries, newton_correct)

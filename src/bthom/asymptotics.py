@@ -48,7 +48,6 @@ __all__ = [
     "In_closed_parts",
     "LpSeries",
     "lp_solve_quadratic",
-    "lp_orbit_third",
     "xi_of_s",
     "smooth_tau",
     "planar_pass",
@@ -94,10 +93,14 @@ def check_series(kind: str, phase: PhaseChoice, order: int, xi_identity: bool = 
         raise ValueError(f"series kind must be 'rp' or 'lp', not {kind!r}")
     if phase not in _KIND_PHASES[kind]:
         raise ValueError(f"{kind} has no {getattr(phase, 'value', phase)} phase")
-    if order not in range(4):
-        raise ValueError(f"order must be in 0..3, not {order!r}")
+    _check_order(order)
     if xi_identity and kind != "lp":
         raise ValueError("xi_identity applies to the lp method only")
+
+
+def _check_order(order: int) -> None:
+    if order not in range(4):
+        raise ValueError(f"order must be in 0..3, not {order!r}")
 
 
 def _check_family(phase: PhaseChoice, coeffs) -> None:
@@ -353,32 +356,12 @@ def _lp_parts(phase: PhaseChoice, coeffs: tuple = UNIT):
     """The u_i(zeta), omega_i(zeta) and u_i'(zeta) coefficient arrays (i = 0..3,
     read-only) and the xi_i(s) terms (i = 1..3) of an LP series."""
     _check_family(phase, coeffs)
-    if phase is PhaseChoice.VZERO:
-        u, om = _smooth_u_polys(coeffs), _smooth_omega_polys(coeffs)
-        xi = partial(_smooth_xi_terms, coeffs=coeffs)
-    elif phase is PhaseChoice.ALTGAMMA:
+    if phase is PhaseChoice.ALTGAMMA:
         (_, u, om), xi = _lp_float_series(phase), _xi_terms_altgamma
     else:
-        raise ValueError("LP supports the VZERO and ALTGAMMA phases only; L2 is an RP phase")
+        u, om = _smooth_u_polys(coeffs), _smooth_omega_polys(coeffs)
+        xi = partial(_smooth_xi_terms, coeffs=coeffs)
     return _frozen(u), _frozen(om), _frozen(map(P.polyder, u)), xi
-
-
-def _lp_jets(zeta, phase: PhaseChoice, order: int, coeffs):
-    """The LP orbit (u, v) at zeta as jets in eps at 0, truncated at eps^order;
-    zeta may itself be an eps-jet."""
-    u, om, up, _ = _lp_parts(phase, tuple(coeffs))
-    series = partial(_peval_eps_jet, x=zeta, order=min(order, 3))
-    return series(u), (1.0 - zeta * zeta) * series(om) * series(up)
-
-
-def lp_orbit_third(zeta, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
-                   order: int = 3, coeffs=UNIT):
-    """Third-order LP orbit (u, v) as a function of the transformed time zeta.
-
-    v = (1 - zeta^2) omega(zeta) u'(zeta), truncated at eps^order like u.
-    """
-    u, v = _lp_jets(np.asarray(zeta, float), phase, order, coeffs)
-    return _series(u.c, eps, order), _series(v.c, eps, order)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +386,9 @@ def _xi_terms_altgamma(s):
 
 def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
             order: int = 3, coeffs=UNIT):
-    """xi(s) = s + sum_i xi_i(s) eps^i with the phase-appropriate constants."""
+    """xi(s) = s + sum_{i <= order} xi_i(s) eps^i of the lp series of this phase
+    and coeffs; one that `check_series` rejects is a ValueError."""
+    check_series("lp", phase, order)
     return _series((s,) + _lp_parts(phase, tuple(coeffs))[3](s), eps, order)
 
 
@@ -412,6 +397,9 @@ def xi_of_s(s, eps: float, phase: PhaseChoice = PhaseChoice.VZERO,
 # ---------------------------------------------------------------------------
 
 def smooth_tau(eps: float, coeffs, order: int = 3) -> float:
+    """tau = 10/7 + tau_2 eps^2 of the smooth normal form (a, b, a1, b1, d, e),
+    truncated at eps^order; an order outside 0..3 is a ValueError."""
+    _check_order(order)
     a, b, a1, b1, d, e = coeffs
     tau = 10.0 / 7.0
     if order >= 2:
@@ -528,8 +516,10 @@ def _pass_jets(s, eps: float, kind: str, phase: PhaseChoice, order: int,
         if isinstance(xi, Jet):     # a jet in another variable: a constant in eps
             xi = Jet(xi)
         lp_phase = phase
-    zeta = tanh(xi)
-    jets = _lp_jets(zeta, lp_phase, order, coeffs)
+    zeta = tanh(xi)                 # an eps-jet for rp
+    u, om, up, _ = _lp_parts(lp_phase, tuple(coeffs))
+    series = partial(_peval_eps_jet, x=zeta, order=order)
+    jets = series(u), (1.0 - zeta * zeta) * series(om) * series(up)    # v = (1 - zeta^2) omega u'
     if not integral:
         return jets
     if tuple(coeffs) != UNIT:

@@ -57,6 +57,7 @@ class ParseError(ModelError):
 
     def __init__(self, msg: str, line: int, col: int = 0):
         super().__init__(f"line {line}, col {col}: {msg}" if col else f"line {line}: {msg}")
+        self.msg = msg
         self.line = line
         self.col = col
 
@@ -93,7 +94,7 @@ def _expr_code(text: str, line: int, names: dict) -> str:
     Python's tokenizer splits ``text`` (columns are 1-based in it).  Names map
     through ``names`` unless they are _FUNCTIONS, ``^`` becomes ``**``, unary plus
     is dropped and numbers become floats, except an exponent, an int for Jet.__pow__.
-    Python's parser then builds the tree, which `_check_tree` checks.
+    The code is parsed and checked once, by :class:`OdeModel`.
     """
     toks = []
     try:
@@ -127,32 +128,24 @@ def _expr_code(text: str, line: int, names: dict) -> str:
         elif not (s == "+" and before[1] in ("", "+", "-", "*", "/", "^", "(")):
             out.append("**" if s == "^" else s)
         before = (before[1], s)
-    code = " ".join(out)
-    try:
-        tree = ast.parse(code, mode="eval")
-    except (SyntaxError, ValueError) as exc:
-        raise ParseError(f"malformed expression ({exc.args[0]})", line) from None
-    except (RecursionError, MemoryError):
-        raise ParseError("expression too long or nested too deeply", line) from None
-    _check_tree(tree, names.values(), line)
-    return code
+    return " ".join(out)
 
 
-def _check_tree(tree: ast.AST, variables, line: int, what: str = "") -> None:
-    """A ParseError on ``line``, its message led by ``what``, unless the tree
-    holds only arithmetic, one-argument calls of _FUNCTIONS, integer exponents
-    with at most one sign, and names that are ``variables`` or _FUNCTIONS."""
+def _check_tree(tree: ast.AST, variables, line: int) -> None:
+    """A ParseError on ``line`` unless the tree holds only arithmetic,
+    one-argument calls of _FUNCTIONS, integer exponents with at most one sign,
+    and names that are ``variables`` or _FUNCTIONS."""
     for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
             e = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
             if not (isinstance(e, ast.Constant) and type(e.value) is int):
-                raise ParseError(f"{what}exponent must be an integer literal", line)
+                raise ParseError("exponent must be an integer literal", line)
         if isinstance(node, ast.Name) and node.id not in variables and node.id not in _FUNCTIONS:
-            raise ParseError(f"{what}names {node.id}, neither a variable nor a function", line)
+            raise ParseError(f"names {node.id}, neither a variable nor a function", line)
         if not isinstance(node, _NODES) or isinstance(node, ast.Call) and (
                 len(node.args) != 1 or not isinstance(node.func, ast.Name)
                 or node.func.id not in _FUNCTIONS):
-            raise ParseError(f"{what}malformed expression", line)
+            raise ParseError("malformed expression", line)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +161,11 @@ class OdeModel:
     two active parameters.  Each compiles once to a function of these n + 2
     variables and the functions of :mod:`bthom.jet`, which take plain arrays
     and Taylor jets alike: :func:`eval_rhs` runs them on arrays and
-    :func:`derivatives` on jets.  Code that does not compile, or that fails
-    the tree check of :func:`parse_model` (arithmetic, one-argument calls of
-    those functions, integer exponents, these variables), raises
-    :class:`ParseError` naming the component, its line the position in rhs.
+    :func:`derivatives` on jets.  Construction is the one parse, tree check and
+    compile of each component: code that does not compile, or that holds more
+    than arithmetic, one-argument calls of those functions, integer exponents
+    and these variables, is a :class:`ParseError` naming the component, its
+    line the position in rhs, raised from the reason.
     """
 
     dim: int
@@ -190,9 +184,11 @@ class OdeModel:
             try:
                 tree = ast.parse(code, where, "eval")
                 fn = compile(f"lambda {', '.join(variables)}: {code}", where, "eval")
+                _check_tree(tree, variables, i + 1)
+            except ParseError as exc:
+                raise ParseError(f"code of x{i+1}': {exc.msg}", i + 1) from exc
             except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-                raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from None
-            _check_tree(tree, variables, i + 1, f"code of x{i+1}': ")
+                raise ParseError(f"code of x{i+1}' does not compile ({exc})", i + 1) from exc
             self._fns.append(eval(fn, dict(_FUNCTIONS)))   # eval adds __builtins__ to a copy
             names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
             reads.append(tuple(v in names for v in variables))
@@ -205,7 +201,8 @@ class OdeModel:
 
 
 def parse_model(text: str, name: str = "model") -> OdeModel:
-    """Parse a model-file string into an :class:`OdeModel`."""
+    """Parse a model-file string into an :class:`OdeModel`.  A right-hand
+    side that the model refuses is a ParseError at its line, giving the reason."""
     dim = None
     active: list[str] = []
     fixed: dict[str, float] = {}
@@ -274,8 +271,18 @@ def parse_model(text: str, name: str = "model") -> OdeModel:
         if idx < 1 or idx > dim:
             raise ParseError(f"equation for x{idx} outside dim {dim}", eqs[idx][1])
 
-    return OdeModel(dim=dim, rhs=rhs_code, active_params=tuple(active),
-                    fixed_params=fixed, name=name)
+    try:
+        return OdeModel(dim=dim, rhs=rhs_code, active_params=tuple(active),
+                        fixed_params=fixed, name=name)
+    except ParseError as exc:                   # exc.line is the component
+        why = exc.__cause__
+        if isinstance(why, ParseError):
+            why = why.msg
+        elif isinstance(why, (SyntaxError, ValueError)):
+            why = f"malformed expression ({why.args[0]})"
+        else:
+            why = "expression too long or nested too deeply"
+        raise ParseError(why, eqs[exc.line][1]) from None
 
 
 def eval_rhs(model: OdeModel, x, alpha) -> np.ndarray:
@@ -448,8 +455,8 @@ def build_oracle(model: OdeModel, x0, alpha0) -> MultilinearOracle:
     """Build the derivative oracle at an approximate equilibrium (x0, alpha0)."""
     x0 = np.asarray(x0, dtype=float)
     alpha0 = np.asarray(alpha0, dtype=float)
-    res = np.linalg.norm(eval_rhs(model, x0, alpha0))
-    if res > 1e-6 * (1.0 + np.linalg.norm(x0)):
+    res = math.hypot(*eval_rhs(model, x0, alpha0))      # norms that cannot overflow
+    if res > 1e-6 * (1.0 + math.hypot(*x0)):
         raise NonEquilibriumError(
             f"||f(x0, alpha0)|| = {res:.3e} exceeds equilibrium tolerance")
     return MultilinearOracle(model=model, x0=x0, alpha0=alpha0)

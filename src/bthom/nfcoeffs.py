@@ -403,11 +403,11 @@ def analyze_bt(model: OdeModel, x0, alpha0, variant: Variant | str = Variant.ORB
 
     for _ in range(10):
         f = eval_rhs(model, x0, alpha0)
-        if np.linalg.norm(f) < 1e-13 * (1.0 + np.linalg.norm(x0)):
+        if math.hypot(*f) < 1e-13 * (1.0 + math.hypot(*x0)):     # norms that cannot overflow
             break
         J = derivatives(model, x0, alpha0)[0][:, :model.dim]
         step, *_ = np.linalg.lstsq(J, -f, rcond=None)
-        if np.linalg.norm(eval_rhs(model, x0 + step, alpha0)) >= np.linalg.norm(f):
+        if math.hypot(*eval_rhs(model, x0 + step, alpha0)) >= math.hypot(*f):
             break
         x0 = x0 + step
 

@@ -7,9 +7,8 @@ from numpy.polynomial.polynomial import polyder, polyval
 
 import bthom.asymptotics as asy
 from bthom.asymptotics import (ALT_GAMMA1, GAMMA1_L2, GAMMA3_L2, SIGMA3_L2, UNIT, In_closed,
-                               In_closed_parts, PhaseChoice, lp_orbit_third,
-                               lp_solve_quadratic, planar_pass, smooth_tau, u0,
-                               xi_of_s)
+                               In_closed_parts, PhaseChoice, lp_solve_quadratic,
+                               planar_pass, smooth_tau, u0, xi_of_s)
 from bthom.jet import Jet, tanh
 from conftest import NF_COEFFS, fit_slope
 
@@ -130,6 +129,20 @@ class TestRegularPerturbation:
         """Each of these once returned some other series (or an IndexError)."""
         with pytest.raises(ValueError, match=match):
             planar_pass(np.array([0.3, 1.0]), 0.1, kind, **kwargs)
+
+    @pytest.mark.parametrize("fn, args, kwargs, match", [
+        (xi_of_s, (0.3, 0.1), dict(order=7), r"order must be in 0\.\.3"),
+        (xi_of_s, (0.3, 0.1), dict(order=4), r"order must be in 0\.\.3"),
+        (xi_of_s, (0.3, 0.1), dict(order=-1), r"order must be in 0\.\.3"),
+        (xi_of_s, (0.3, 0.1), dict(phase=PhaseChoice.L2), "lp has no l2 phase"),
+        (smooth_tau, (0.1, UNIT), dict(order=7), r"order must be in 0\.\.3"),
+        (smooth_tau, (0.1, UNIT), dict(order=-1), r"order must be in 0\.\.3"),
+    ])
+    def test_time_map_or_tau_that_names_no_series_is_rejected(self, fn, args, kwargs, match):
+        """The rules of `check_series` hold for xi(s), as lp, and tau's order;
+        out of order, these once returned s itself or the order-3 value."""
+        with pytest.raises(ValueError, match=match):
+            fn(*args, **kwargs)
 
     @pytest.mark.parametrize("order", range(4))
     def test_l2_is_the_shifted_vzero_series(self, order):
@@ -258,20 +271,23 @@ class TestLpEngine:
 
 
 class TestLpOrbit:
+    """The lp orbit at zeta = tanh(s), from the pass with xi = s at s = artanh(zeta);
+    zeta = +-1 is s = +-inf."""
+
     def test_saddle_at_zeta_one(self):
         for phase in (PhaseChoice.VZERO, PhaseChoice.ALTGAMMA):
-            for z in (1.0, -1.0):
-                u, v = lp_orbit_third(z, 0.3, phase)
+            for s in (np.inf, -np.inf):
+                u, v = planar_pass(s, 0.3, "lp", phase, xi_identity=True)
                 assert u == pytest.approx(2.0, abs=1e-12)
                 assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_bottom_at_eps_zero(self):
-        u, v = lp_orbit_third(0.0, 0.0)
+        u, v = planar_pass(0.0, 0.0, "lp", xi_identity=True)
         assert u == -4.0 and v == 0.0
 
     def test_vzero_matches_printed_displays(self):
         z, e = 0.37, 0.21
-        u, v = lp_orbit_third(z, e)
+        u, v = planar_pass(np.arctanh(z), e, "lp", xi_identity=True)
         assert u == pytest.approx(2 - (1 - z * z) * (6 + 18 / 49 * e * e), abs=1e-14)
         v_printed = (1 - z * z) * z * (12 - 72 / 7 * z * e
                                        + (90 / 49 + 162 / 49 * z * z) * e ** 2
@@ -281,7 +297,7 @@ class TestLpOrbit:
     def test_altgamma_matches_printed_displays(self):
         g = ALT_GAMMA1
         z = np.linspace(-0.9, 0.9, 7)
-        u, v = lp_orbit_third(z, 0.15, PhaseChoice.ALTGAMMA)
+        u, v = planar_pass(np.arctanh(z), 0.15, "lp", PhaseChoice.ALTGAMMA, xi_identity=True)
         u_printed = 2 + (1 - z * z) * (-6 + 12 * g * z * 0.15
                                        + (6 * g * g - 18 / 49) * 0.15 ** 2)
         assert np.allclose(u, u_printed, atol=1e-14)
@@ -311,8 +327,8 @@ class TestLpOrbit:
         assert float(sig[2]) == pytest.approx(18 / 49, abs=1e-13)
 
     def test_l2_phase_rejected(self):
-        with pytest.raises(ValueError):
-            lp_orbit_third(0.0, 0.1, PhaseChoice.L2)
+        with pytest.raises(ValueError, match="lp has no l2 phase"):
+            planar_pass(0.0, 0.1, "lp", PhaseChoice.L2, xi_identity=True)
 
     def test_composition_matches_rp_to_fourth_order(self):
         s = np.linspace(-6, 6, 61)
@@ -371,7 +387,7 @@ class TestXi:
 class TestSmoothNormalForm:
     def test_specializes_to_quadratic_case(self):
         quad = (1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
-        u1, v1 = lp_orbit_third(0.4, 0.1, coeffs=quad)
+        u1, v1 = planar_pass(np.arctanh(0.4), 0.1, "lp", xi_identity=True, coeffs=quad)
         # the floating LP recursion, v = (1 - z^2) omega(z) u'(z)
         _, u_p, om = asy._lp_float_series(PhaseChoice.VZERO)
         z, e = 0.4, 0.1
@@ -381,7 +397,8 @@ class TestSmoothNormalForm:
                                for i in range(4) for j in range(4 - i))
         assert u1 == pytest.approx(u2, abs=1e-14)
         assert v1 == pytest.approx(v2, abs=1e-14)
-        assert lp_orbit_third(0.4, 0.1, coeffs=list(quad)) == (u1, v1)
+        assert planar_pass(np.arctanh(0.4), 0.1, "lp", xi_identity=True,
+                           coeffs=list(quad)) == (u1, v1)
         u1, v1 = planar_pass(1.3, 0.1, "rp", coeffs=quad)
         u2, v2 = planar_pass(1.3, 0.1, "rp")
         assert u1 == pytest.approx(u2, abs=1e-14)

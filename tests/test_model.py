@@ -317,3 +317,10 @@ class TestOracle:
     def test_non_equilibrium_base_rejected(self, bt_nf_model):
         with pytest.raises(NonEquilibriumError):
             build_oracle(bt_nf_model, [0.5, 0.5], [0.0, 0.0])
+
+    def test_non_equilibrium_norm_does_not_overflow(self):
+        """|f| = 1e300 squares past the largest float: the polish and the
+        equilibrium test still read it, with no overflow warning."""
+        m = planar("p1 + p2*x2 + x1^2 + x1*x2 + 1e300")
+        with pytest.raises(NonEquilibriumError, match=r"\|\| = 1\.000e\+300 exceeds"):
+            analyze_bt(m, [0.0, 0.0], [0.0, 0.0])
